@@ -21,12 +21,9 @@ from typing import Optional, Union
 
 from .stepfn import (
     ConstructionError,
-    DomainError,
     Interval,
-    IntervalSet,
     ParameterError,
     StepFn,
-    TimeLike,
     and_,
     as_time,
     constant,
@@ -181,10 +178,10 @@ def _eq_clause(clause: str, lhs: StepFn, rhs: StepFn) -> list[Violation]:
 
 def _null_before(clause: str, o: StepFn, bound: Fraction) -> list[Violation]:
     """Violations of: o(t) = 0 for all t in [0, bound)."""
-    region = IntervalSet((Interval(Fraction(0), True, bound, False),))
+    region = from_changes([(Fraction(0), 1), (bound, 0)])
     return [
         Violation(pick_point(iv), 1, 0, clause)
-        for iv in one_set(o).intersect(region)
+        for iv in one_set(and_(o, region))
     ]
 
 
@@ -236,54 +233,55 @@ def didb_verify(
     p = _det_params(p)
     require_signal(i, "input")
     require_signal(o, "output")
-    if form == "all":
-        reports = [didb_verify(i, o, p, f) for f in "abcd"]
-        verdicts = {r.verdict for r in reports}
-        if len(verdicts) != 1:
-            raise RuntimeError(
-                "equivalent deterministic-buffer forms disagree: "
-                + ", ".join(f"{r.condition}={r.verdict}" for r in reports)
-            )
-        merged: list[Violation] = []
-        seen_init = False
-        for r in reports:
-            for v in r.violations:
-                if v.clause.startswith("init"):
-                    if seen_init:
-                        continue
-                    seen_init = True
-                merged.append(v)
-        return _report("4.3all", merged)
-    if form not in ("a", "b", "c", "d"):
+    if form not in ("a", "b", "c", "d", "all"):
         raise ParameterError(f"unknown form {form!r}")
 
     prev = left_limit(o)
-    rise_o, fall_o = semi_derivatives(o)
     wr, wf = _enabling_windows(i, p.d_r, p.d_f)
-    enable_r = and_(not_(prev), wr)
-    enable_f = and_(prev, wf)
+    enables = and_(not_(prev), wr), and_(prev, wf)
+    init = _null_before("init: output not null before rise delay", o, p.d_r)
+    if form != "all":
+        return _report(f"4.3{form}", init + _didb_clauses(form, o, prev, wr, wf, *enables))
 
-    violations = _null_before("init: output not null before rise delay", o, p.d_r)
+    clauses = [_didb_clauses(f, o, prev, wr, wf, *enables) for f in "abcd"]
+    reports = [_report(f"4.3{f}", init + c) for f, c in zip("abcd", clauses)]
+    if len({r.verdict for r in reports}) != 1:
+        raise RuntimeError(
+            "equivalent deterministic-buffer forms disagree: "
+            + ", ".join(f"{r.condition}={r.verdict}" for r in reports)
+        )
+    # the init clause is shared by all four forms: report its first region once
+    return _report("4.3all", init[:1] + [v for c in clauses for v in c])
+
+
+def _didb_clauses(
+    form: str,
+    o: StepFn,
+    prev: StepFn,
+    wr: StepFn,
+    wf: StepFn,
+    enable_r: StepFn,
+    enable_f: StepFn,
+) -> list[Violation]:
+    """Violations of one deterministic-buffer form, without the init clause."""
     if form == "a":
-        violations += _eq_clause("4.3a.rise: o(t-0)'*o(t) = o(t-0)'*held1", rise_o, enable_r)
-        violations += _eq_clause("4.3a.fall: o(t-0)*o(t)' = o(t-0)*held0", fall_o, enable_f)
-        return _report("4.3a", violations)
+        rise_o, fall_o = semi_derivatives(o)
+        out = _eq_clause("4.3a.rise: o(t-0)'*o(t) = o(t-0)'*held1", rise_o, enable_r)
+        return out + _eq_clause("4.3a.fall: o(t-0)*o(t)' = o(t-0)*held0", fall_o, enable_f)
     if form == "b":
-        violations += _eq_clause(
+        return _eq_clause(
             "4.3b: Do = o(t-0)'*held1 + o(t-0)*held0",
             derivative(o),
             or_(enable_r, enable_f),
         )
-        return _report("4.3b", violations)
     if form == "c":
-        violations += _leq_clause("4.3c.rise: o(t-0)'*held1 <= o(t)", enable_r, o)
-        violations += _leq_clause("4.3c.fall: o(t-0)*held0 <= o(t)'", enable_f, not_(o))
-        violations += _leq_clause(
+        out = _leq_clause("4.3c.rise: o(t-0)'*held1 <= o(t)", enable_r, o)
+        out += _leq_clause("4.3c.fall: o(t-0)*held0 <= o(t)'", enable_f, not_(o))
+        return out + _leq_clause(
             "4.3c.hold: neither enabled => o holds",
             and_(not_(enable_r), not_(enable_f)),
             or_(and_(not_(prev), not_(o)), and_(prev, o)),
         )
-        return _report("4.3c", violations)
     # form d: the four-way case split is exhaustive
     big = or_(
         or_(and_(and_(not_(prev), o), wr), and_(and_(prev, not_(o)), wf)),
@@ -292,8 +290,7 @@ def didb_verify(
             and_(and_(prev, o), not_(wf)),
         ),
     )
-    violations += _eq_clause("4.3d: case split covers every t", big, constant(1))
-    return _report("4.3d", violations)
+    return _eq_clause("4.3d: case split covers every t", big, constant(1))
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,19 @@ from .stepfn import (
     violation_set,
     window,
 )
-from .waveio import GenConfig, random_signal
 
 __all__ = [
     "Fixture",
     "FuzzConfig",
     "FuzzReport",
+    "GenConfig",
     "Refutation",
     "check_fixture",
     "counterexample",
     "fixture_ok",
     "fuzz_claims",
     "lit_verify",
+    "random_signal",
 ]
 
 
@@ -91,7 +92,7 @@ def _anchored_response(i: StepFn, d_min: Fraction, d_max: Fraction, rise: bool) 
         hi = s + d_max if e is None else min(s + d_max, e)
         if lo <= hi:
             pieces.append(Interval(lo, True, hi, True))
-    return indicator(IntervalSet.union_of(pieces))
+    return indicator(IntervalSet(tuple(pieces)))
 
 
 def _future_window_clause(
@@ -235,6 +236,40 @@ def check_fixture(fx: Fixture) -> dict[str, Report]:
 
 def fixture_ok(fx: Fixture) -> bool:
     return all(r.verdict == fx.expected[k] for k, r in check_fixture(fx).items())
+
+
+# ---------------------------------------------------------------------------
+# Random signals for the fuzz campaign
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """Bounds for the seeded signal generator: switch times are multiples of
+    1/granularity inside [0, horizon], at most max_switches of them."""
+
+    horizon: Fraction = Fraction(8)
+    max_switches: int = 6
+    granularity: int = 4
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", as_time(self.horizon))
+        if self.horizon < 0:
+            raise ParameterError(f"horizon must be >= 0, got {self.horizon}")
+        if self.max_switches < 0:
+            raise ParameterError(f"max_switches must be >= 0, got {self.max_switches}")
+        if self.granularity < 1:
+            raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
+
+
+def random_signal(cfg: GenConfig) -> StepFn:
+    """Deterministic-in-seed random signal within the config's bounds."""
+    rng = Random(cfg.seed)
+    slots = int(cfg.horizon * cfg.granularity) + 1
+    n = rng.randint(0, min(cfg.max_switches, slots))
+    ticks = sorted(rng.sample(range(slots), n))
+    return from_changes((Fraction(t, cfg.granularity), 1 - (k % 2)) for k, t in enumerate(ticks))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Time = Fraction
 TimeLike = Union[Fraction, int, str]
@@ -63,8 +63,9 @@ def _bit(value) -> int:
 #
 # Internally every endpoint maps to a "slot", a point of the line with an
 # infinitesimal offset: (t,-1) just below t, (t,0) at t, (t,+1) just above.
-# Slots order lexicographically and make union/complement/adjacency of
-# intervals with mixed open/closed ends purely combinatorial.
+# Slots order lexicographically and make union/adjacency of intervals with
+# mixed open/closed ends purely combinatorial. A run is a (start, end) slot
+# pair; the kernel works on sorted runs of 1-instants.
 # ---------------------------------------------------------------------------
 
 _MINUS_INF = (0,)
@@ -79,12 +80,6 @@ def _succ(slot):
     # only end slots (eps in {-1,0}) ever need a successor
     _, t, eps = slot
     return (1, t, eps + 1)
-
-
-def _pred(slot):
-    # only start slots (eps in {0,+1}) ever need a predecessor
-    _, t, eps = slot
-    return (1, t, eps - 1)
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,11 @@ def _interval_from_slots(start, end) -> Interval:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Disjoint, sorted, maximal intervals (no two can be merged)."""
+    """A view of a set of instants as a union of intervals.
+
+    one_set returns them disjoint, sorted and maximal (no two can be merged);
+    indicator accepts any intervals, overlapping or unsorted.
+    """
 
     intervals: tuple[Interval, ...] = ()
 
@@ -192,47 +191,6 @@ class IntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    @staticmethod
-    def union_of(items: Iterable[Interval]) -> "IntervalSet":
-        slots = sorted((iv._start_slot(), iv._end_slot()) for iv in items)
-        merged: list[list] = []
-        for start, end in slots:
-            if merged:
-                cur_start, cur_end = merged[-1]
-                # adjacency counts: (a,b) next to [b,c) has nothing between
-                if start <= (cur_end if cur_end == _PLUS_INF else _succ(cur_end)):
-                    if end > cur_end:
-                        merged[-1][1] = end
-                    continue
-            merged.append([start, end])
-        return IntervalSet(tuple(_interval_from_slots(s, e) for s, e in merged))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.union_of([*self.intervals, *other.intervals])
-
-    def complement(self) -> "IntervalSet":
-        gaps = []
-        cursor = _MINUS_INF
-        for iv in self.intervals:
-            start = iv._start_slot()
-            if start != _MINUS_INF:
-                lo_slot = cursor if cursor == _MINUS_INF else _succ(cursor)
-                hi_slot = _pred(start)
-                if lo_slot <= hi_slot:
-                    gaps.append(_interval_from_slots(lo_slot, hi_slot))
-            cursor = iv._end_slot()
-        if cursor == _MINUS_INF:
-            gaps.append(_interval_from_slots(_MINUS_INF, _PLUS_INF))
-        elif cursor != _PLUS_INF:
-            gaps.append(_interval_from_slots(_succ(cursor), _PLUS_INF))
-        return IntervalSet(tuple(gaps))
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return self.complement().union(other.complement()).complement()
-
-    def contains(self, t: Fraction) -> bool:
-        return any(iv.contains(t) for iv in self.intervals)
 
     def __str__(self) -> str:
         if not self.intervals:
@@ -456,104 +414,102 @@ def semi_derivatives(f: StepFn) -> tuple[StepFn, StepFn]:
 
 # ---------------------------------------------------------------------------
 # One-sets and indicators
+#
+# Every set operation of the kernel goes through three sweeps over runs:
+# _ones reads the 1-runs off a StepFn, _union merges start-sorted runs and
+# _from_ones turns maximal runs back into the canonical StepFn.
 # ---------------------------------------------------------------------------
+
+
+def _union(runs) -> list[tuple]:
+    """Merge runs sorted by start slot into disjoint, maximal runs."""
+    merged: list[tuple] = []
+    for start, end in runs:
+        if merged:
+            cur_start, cur_end = merged[-1]
+            # adjacency counts: (a,b) next to [b,c) has nothing between
+            if start <= (cur_end if cur_end == _PLUS_INF else _succ(cur_end)):
+                if end > cur_end:
+                    merged[-1] = (cur_start, end)
+                continue
+        merged.append((start, end))
+    return merged
+
+
+def _ones(f: StepFn) -> list[tuple]:
+    return _union((s, e) for s, e, value in f._pieces() if value == 1)
+
+
+def _from_ones(runs) -> StepFn:
+    """The canonical StepFn whose 1-set is the given maximal sorted runs.
+
+    Maximality makes every run endpoint a real breakpoint. Two runs share a
+    breakpoint time only when one ends open at t and the next starts open at
+    t; a degenerate run [t, t] opens and closes at the same time.
+    """
+    before = 1 if runs and runs[0][0] == _MINUS_INF else 0
+    times: list[Fraction] = []
+    pvals: list[int] = []
+    ivals: list[int] = []
+    for start, end in runs:
+        if start != _MINUS_INF:
+            _, t, eps = start
+            if eps == 0:
+                times.append(t)
+                pvals.append(1)
+                ivals.append(1)
+            elif times and times[-1] == t:  # only the instant t is missing
+                ivals[-1] = 1
+            else:
+                times.append(t)
+                pvals.append(0)
+                ivals.append(1)
+        if end != _PLUS_INF:
+            _, t, eps = end
+            if eps == 0 and times and times[-1] == t:  # degenerate run
+                ivals[-1] = 0
+            else:
+                times.append(t)
+                pvals.append(1 if eps == 0 else 0)
+                ivals.append(0)
+    return StepFn(before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def one_set(f: StepFn) -> IntervalSet:
     """The exact set {t : f(t) = 1}."""
-    return IntervalSet.union_of(
-        _interval_from_slots(s, e) for s, e, value in f._pieces() if value == 1
-    )
+    return IntervalSet(tuple(_interval_from_slots(s, e) for s, e in _ones(f)))
 
 
 def indicator(s: IntervalSet) -> StepFn:
-    """Characteristic function of an interval set; inverse of one_set."""
-    finite: set[Fraction] = set()
-    for iv in s:
-        if iv.lo is not None:
-            finite.add(iv.lo)
-        if iv.hi is not None:
-            finite.add(iv.hi)
-    times = sorted(finite)
-    if not times:
-        return constant(0 if s.is_empty else 1)
-    before = 1 if s.contains(times[0] - 1) else 0
-    pieces = []
-    for k, t in enumerate(times):
-        probe = (t + times[k + 1]) / 2 if k + 1 < len(times) else t + 1
-        pieces.append((t, 1 if s.contains(t) else 0, 1 if s.contains(probe) else 0))
-    return canonical(before, pieces)
+    """Characteristic function of a union of intervals; inverse of one_set."""
+    return _from_ones(_union(sorted((iv._start_slot(), iv._end_slot()) for iv in s)))
 
 
 # ---------------------------------------------------------------------------
 # Sliding-window operators
 # ---------------------------------------------------------------------------
 
-WINDOW_KINDS = ("co", "oo", "oc")  # [t-d,t), (t-d,t), (t-d,t]
-WINDOW_MODES = ("all", "any")
-
-
-def _dilate(iv: Interval, d: Fraction, kind: str) -> Interval:
-    """{t : the width-d window at t meets iv}.
-
-    Closure rules fall out of the window shape: a CO window [t-d,t) never
-    reaches its own right end, so the dilated interval opens at iv.lo and
-    keeps iv's upper closure at iv.hi+d; OO opens both ends; OC mirrors CO.
-    """
-    hi = None if iv.hi is None else iv.hi + d
-    if kind == "co":
-        return Interval(iv.lo, False, hi, iv.hi_closed if hi is not None else False)
-    if kind == "oo":
-        return Interval(iv.lo, False, hi, False)
-    if kind == "oc":
-        return Interval(iv.lo, iv.lo_closed if iv.lo is not None else False, hi, False)
-    raise ParameterError(f"unknown window kind {kind!r}")
+# offsets (lo_closed, hi_closed) of [t-d,t), (t-d,t), (t-d,t] relative to t
+_WINDOW_SHAPES = {"co": (True, False), "oo": (False, False), "oc": (False, True)}
 
 
 def window(mode: str, f: StepFn, d: TimeLike, kind: str = "co") -> StepFn:
     """Pointwise inf ('all') or sup ('any') of f over the sliding window
     ending at t: 'co' = [t-d,t), 'oo' = (t-d,t), 'oc' = (t-d,t].
 
-    Mode 'all' is computed exactly by dilating the 0-set of f; mode 'any' by
-    the duality any(f) = not(all(not f)).
+    Mode 'any' looks back over the offsets <-d, 0>; mode 'all' is its dual
+    all(f) = not(any(not f)).
     """
     d = as_time(d)
     if d <= 0:
         raise ParameterError(f"window width must be positive, got {d}")
-    if kind not in WINDOW_KINDS:
+    if kind not in _WINDOW_SHAPES:
         raise ParameterError(f"unknown window kind {kind!r}")
-    if mode == "any":
-        return not_(window("all", not_(f), d, kind))
-    if mode != "all":
+    if mode == "all":
+        return not_(window("any", not_(f), d, kind))
+    if mode != "any":
         raise ParameterError(f"unknown window mode {mode!r}")
-    zeros = one_set(not_(f))
-    dilated = IntervalSet.union_of(_dilate(iv, d, kind) for iv in zeros)
-    return indicator(dilated.complement())
-
-
-def window_exists_all(f: StepFn, a: TimeLike, b: TimeLike, kind: str = "co") -> StepFn:
-    """1 at t iff some start t' in [t-a, t-b] has f identically 1 on the
-    window from t' to t. Window-ALL is monotone in the start point, so the
-    best start is t-b and the whole thing reduces to window('all', f, b).
-    """
-    a, b = as_time(a), as_time(b)
-    if not (0 < b <= a):
-        raise ParameterError(f"need 0 < b <= a, got a={a}, b={b}")
-    return window("all", f, b, kind)
-
-
-def _minkowski_sum(a: Interval, b: Interval) -> Interval:
-    """{x + y : x in a, y in b}; an endpoint of the sum is attained iff both
-    contributing endpoints are."""
-    if a.lo is None or b.lo is None:
-        lo, lo_closed = None, False
-    else:
-        lo, lo_closed = a.lo + b.lo, a.lo_closed and b.lo_closed
-    if a.hi is None or b.hi is None:
-        hi, hi_closed = None, False
-    else:
-        hi, hi_closed = a.hi + b.hi, a.hi_closed and b.hi_closed
-    return Interval(lo, lo_closed, hi, hi_closed)
+    return any_over_offsets(f, -d, 0, *_WINDOW_SHAPES[kind])
 
 
 def any_over_offsets(
@@ -561,23 +517,32 @@ def any_over_offsets(
 ) -> StepFn:
     """g(t) = 1 iff f(t + delta) = 1 for some delta in the offset interval.
 
-    Looking ahead by delta in <lo, hi> means t sees the 1-interval I exactly
-    when t lies in I shifted back by the offsets, so the result's 1-set is the
-    union of Minkowski sums I + <-hi, -lo>.
+    Looking ahead by delta in <lo, hi> means t sees the 1-run I exactly when
+    t lies in I shifted back by the offsets, so the result's 1-set is the
+    union of Minkowski sums I + <-hi, -lo>. An endpoint of a sum is attained
+    iff both contributing endpoints are: in slot terms times add, the start
+    takes the larger eps and the end the smaller. Adding one interval keeps
+    the runs sorted by start.
     """
     lo, hi = as_time(lo), as_time(hi)
     offsets = Interval(-hi, hi_closed, -lo, lo_closed)
-    shifted = IntervalSet.union_of(
-        _minkowski_sum(iv, offsets) for iv in one_set(f)
-    )
-    return indicator(shifted)
+    _, a, a_eps = offsets._start_slot()
+    _, b, b_eps = offsets._end_slot()
+    sums = [
+        (
+            s if s == _MINUS_INF else (1, s[1] + a, max(s[2], a_eps)),
+            e if e == _PLUS_INF else (1, e[1] + b, min(e[2], b_eps)),
+        )
+        for s, e in _ones(f)
+    ]
+    return _from_ones(_union(sums))
 
 
 # ---------------------------------------------------------------------------
 # Ordering and signal predicates
 # ---------------------------------------------------------------------------
 
-NONNEG = IntervalSet((Interval(Fraction(0), True, None, False),))
+_NONNEG = from_changes([(0, 1)])
 
 
 @dataclass(frozen=True)
@@ -603,12 +568,12 @@ def pick_point(iv: Interval) -> Fraction:
 
 def violation_set(lhs: StepFn, rhs: StepFn) -> IntervalSet:
     """Where lhs(t) <= rhs(t) fails, restricted to t >= 0."""
-    return one_set(and_(lhs, not_(rhs))).intersect(NONNEG)
+    return one_set(and_(and_(lhs, not_(rhs)), _NONNEG))
 
 
 def difference_set(f: StepFn, g: StepFn) -> IntervalSet:
     """Where f(t) != g(t), restricted to t >= 0."""
-    return one_set(xor(f, g)).intersect(NONNEG)
+    return one_set(and_(xor(f, g), _NONNEG))
 
 
 def leq(f: StepFn, g: StepFn) -> LeqResult:
@@ -644,10 +609,6 @@ def require_signal(f: StepFn, role: str = "input") -> None:
     ok, reason = is_signal(f)
     if not ok:
         raise DomainError(f"{role} is not a signal: {reason}")
-
-
-# nominal alias: a StepFn accepted by require_signal
-Signal = StepFn
 
 
 def switch_points(x: StepFn) -> tuple[Fraction, ...]:

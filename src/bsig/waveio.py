@@ -1,4 +1,4 @@
-"""Waveform and report persistence plus seeded signal generation.
+"""Waveform and report persistence.
 
 The native `.bsig` text format carries exact rational change times, so round
 trips are bit-exact; VCD export is lossy at isolated points (widened by one
@@ -9,13 +9,13 @@ rationals as strings so no consumer ever sees floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from random import Random
 from typing import Optional, Union
 
 from .buffer import DelayParams, Report, Violation
+from .litcmp import Fixture, FuzzConfig, FuzzReport, Refutation
 from .stepfn import (
     Interval,
     ParameterError,
@@ -29,12 +29,10 @@ from .stepfn import (
 
 __all__ = [
     "BsigDocument",
-    "GenConfig",
     "ParseError",
     "export_vcd",
     "parse_bsig",
     "parse_report",
-    "random_signal",
     "summarize_report",
     "write_bsig",
     "write_report",
@@ -47,10 +45,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def format_time(t: Fraction) -> str:
-    return str(t)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ class BsigDocument:
         if self.name is not None:
             lines.append(f"# name: {self.name}")
         for t, b in self.entries:
-            lines.append(f"{format_time(t)} {b}")
+            lines.append(f"{t} {b}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -155,6 +149,18 @@ def write_bsig(x: StepFn, name: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _vcd_id(k: int) -> str:
+    """The k-th VCD identifier code over the printable characters '!'..'~':
+    '!'..'~' for the first 94 signals, then '!!', '!"', ... (bijective base 94).
+    """
+    code = ""
+    k += 1
+    while k:
+        k, r = divmod(k - 1, 94)
+        code = chr(33 + r) + code
+    return code
+
+
 def export_vcd(named: list[tuple[str, StepFn]]) -> str:
     """Value-change-dump text for external waveform viewers.
 
@@ -177,7 +183,7 @@ def export_vcd(named: list[tuple[str, StepFn]]) -> str:
     all_ticks = [int(t * scale) for _, f in named for t in f.times]
     offset = -min(all_ticks) if all_ticks and min(all_ticks) < 0 else 0
 
-    ids = {n: chr(33 + k) for k, (n, _) in enumerate(named)}
+    ids = {n: _vcd_id(k) for k, (n, _) in enumerate(named)}
     changes: dict[int, dict[str, int]] = {}
     initial: dict[str, int] = {}
     for n, f in named:
@@ -216,46 +222,8 @@ def export_vcd(named: list[tuple[str, StepFn]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Random signals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Bounds for the seeded signal generator: switch times are multiples of
-    1/granularity inside [0, horizon], at most max_switches of them."""
-
-    horizon: Fraction = Fraction(8)
-    max_switches: int = 6
-    granularity: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", as_time(self.horizon))
-        if self.horizon < 0:
-            raise ParameterError(f"horizon must be >= 0, got {self.horizon}")
-        if self.max_switches < 0:
-            raise ParameterError(f"max_switches must be >= 0, got {self.max_switches}")
-        if self.granularity < 1:
-            raise ParameterError(f"granularity must be >= 1, got {self.granularity}")
-
-
-def random_signal(cfg: GenConfig) -> StepFn:
-    """Deterministic-in-seed random signal within the config's bounds."""
-    rng = Random(cfg.seed)
-    grid = [Fraction(k, cfg.granularity) for k in range(int(cfg.horizon * cfg.granularity) + 1)]
-    n = rng.randint(0, min(cfg.max_switches, len(grid)))
-    times = sorted(rng.sample(grid, n))
-    return from_changes((t, 1 - (k % 2)) for k, t in enumerate(times))
-
-
-# ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
-
-
-def _witness_str(w: Union[Fraction, Interval]) -> str:
-    return str(w)
 
 
 def _witness_parse(s: str) -> Union[Fraction, Interval]:
@@ -271,7 +239,7 @@ def _report_doc(r: Report) -> dict:
         "condition": r.condition,
         "violations": [
             {
-                "witness": _witness_str(v.witness),
+                "witness": str(v.witness),
                 "lhs": v.lhs,
                 "rhs": v.rhs,
                 "clause": v.clause,
@@ -294,8 +262,6 @@ def _report_from_doc(doc: dict) -> Report:
 
 def write_report(r) -> str:
     """Machine-readable JSON document for a Report or a FuzzReport."""
-    from .litcmp import FuzzReport  # lazy: litcmp imports this module
-
     if isinstance(r, Report):
         doc = _report_doc(r)
     elif isinstance(r, FuzzReport):
@@ -307,12 +273,10 @@ def write_report(r) -> str:
 
 def summarize_report(r) -> str:
     """Human text: verdict line plus one line per violation."""
-    from .litcmp import FuzzReport
-
     if isinstance(r, Report):
         lines = [f"{r.condition}: {r.verdict}"]
         for v in r.violations:
-            lines.append(f"  witness {_witness_str(v.witness)}: lhs={v.lhs} rhs={v.rhs}  [{v.clause}]")
+            lines.append(f"  witness {v.witness}: lhs={v.lhs} rhs={v.rhs}  [{v.clause}]")
         return "\n".join(lines) + "\n"
     if isinstance(r, FuzzReport):
         lines = [f"fuzz: {r.config.trials} trials, seed {r.config.seed}: "
@@ -371,8 +335,6 @@ def _fuzz_doc(r) -> dict:
 
 
 def _fuzz_from_doc(doc: dict):
-    from .litcmp import Fixture, FuzzConfig, FuzzReport, Refutation
-
     c = doc["config"]
     config = FuzzConfig(
         trials=c["trials"],

@@ -108,7 +108,7 @@ def any_over_offsets_at(f, lo, hi, lo_closed, hi_closed, t):
 def probe_grid(fs, pad=Fraction(2), step=None):
     """A dense grid covering all breakpoints of the given functions: from
     min-pad to max+pad at the requested step (default min gap / 4), plus the
-    breakpoints themselves and 0."""
+    breakpoints themselves, both ends min-pad and max+pad, and 0."""
     bps = sorted({t for f in fs for t in f.times})
     if not bps:
         return [Fraction(k, 4) for k in range(-4, 9)]
@@ -117,7 +117,7 @@ def probe_grid(fs, pad=Fraction(2), step=None):
         step = min(gaps, default=Fraction(1)) / 4
     t = bps[0] - pad
     end = bps[-1] + pad
-    out = {Fraction(0), *bps}
+    out = {Fraction(0), *bps, t, end}
     while t <= end:
         out.add(t)
         t += step

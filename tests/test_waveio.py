@@ -162,6 +162,18 @@ def test_vcd_name_validation():
         export_vcd([("bad name", constant(0))])
 
 
+def test_vcd_ids_past_94_signals():
+    # identifier codes are made of the printable characters '!'..'~' only
+    text = export_vcd([(f"s{k}", chi((k, 1))) for k in range(200)])
+    head, body = text.split("$enddefinitions $end\n", 1)
+    ids = [line.split()[3] for line in head.splitlines() if line.startswith("$var")]
+    assert len(set(ids)) == len(ids) == 200
+    assert all("!" <= c <= "~" for code in ids for c in code)
+    assert ids[:94] == [chr(33 + k) for k in range(94)]
+    changed = {line[1:] for line in body.splitlines() if line[0] in "01"}
+    assert changed == set(ids)
+
+
 # ---------------------------------------------------------------------------
 # Random signal generation
 # ---------------------------------------------------------------------------
