@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 from random import Random
 from typing import Optional, Union
 
@@ -400,15 +401,21 @@ def _draw_delay(policy: SamplePolicy, rng: Optional[Random], lo: Fraction, hi: F
         return lo
     if policy.kind == "lazy":
         return hi
+    # The candidates, in order: lo when off the grid, the grid points
+    # ceil(lo*g)/g .. floor(hi*g)/g, then hi when off the grid and not lo.
+    # rng.choice depends only on the length, so drawing an index draws the
+    # same candidate as choosing from the enumerated list would.
     g = policy.granularity
-    first = -((-lo * g) // 1)  # ceil(lo*g) as a Fraction with denominator 1
-    last = (hi * g) // 1
-    candidates = {lo, hi}
-    k = first
-    while k <= last:
-        candidates.add(Fraction(int(k), g))
-        k += 1
-    return rng.choice(sorted(candidates))
+    first, last = ceil(lo * g), floor(hi * g)
+    n_grid = last - first + 1
+    lo_extra = lo * g != first
+    hi_extra = hi * g != last and hi != lo
+    k = rng.choice(range(lo_extra + n_grid + hi_extra))
+    if lo_extra:
+        if k == 0:
+            return lo
+        k -= 1
+    return Fraction(first + k, g) if k < n_grid else hi
 
 
 def nidb_sample(i: StepFn, p: DelayParams, policy: SamplePolicy) -> StepFn:
@@ -500,34 +507,35 @@ def check_stability(i: StepFn, o: StepFn, p: DelayParams) -> Report:
     require_signal(i, "input")
     require_signal(o, "output")
     o_switches = switch_points(o)
+    n = len(o_switches)
+    k = 0  # first switch of o after the current run's lo; lo never decreases
     violations: list[Violation] = []
     for start, end, value in right_continuous_runs(i):
         lo = Fraction(0) if start is None else max(start, Fraction(0))
         if end is not None and end <= lo:
             continue
-        # first instant in [lo, end) where o agrees with the run's value
+        while k < n and o_switches[k] <= lo:
+            k += 1
+        # o flips at each switch: if it disagrees with the run at lo, it agrees
+        # from its first switch after lo, provided that comes before end. The
+        # next switch after the agreement leaves the stable state.
         if o.eval(lo) == value:
-            agree = lo
+            nxt = k
+        elif k < n and (end is None or o_switches[k] < end):
+            nxt = k + 1
         else:
-            agree = None
-            for t in o_switches:
-                if t > lo and (end is None or t < end) and o.eval(t) == value:
-                    agree = t
-                    break
-        if agree is None:
             continue
-        for t in o_switches:
-            if t > agree and (end is None or t <= end):
-                violations.append(
-                    Violation(
-                        t,
-                        o.eval(t),
-                        value,
-                        f"3.4: output leaves stable state at {t} while input "
-                        f"holds {value}",
-                    )
+        if nxt < n and (end is None or o_switches[nxt] <= end):
+            t = o_switches[nxt]
+            violations.append(
+                Violation(
+                    t,
+                    o.eval(t),
+                    value,
+                    f"3.4: output leaves stable state at {t} while input "
+                    f"holds {value}",
                 )
-                break
+            )
     return _report("3.4", violations)
 
 
@@ -545,25 +553,14 @@ def check_inertia(i: StepFn, p: Union[DetParams, DelayParams]) -> Report:
     ones = list(one_set(i))
     zeros = list(one_set(not_(i)))
     violations: list[Violation] = []
-
-    def backed(t: Fraction, runs: list[Interval], d: Fraction) -> bool:
-        for iv in runs:
-            if (iv.lo is None or iv.lo <= t - d) and (iv.hi is None or t <= iv.hi):
-                return True
-        return False
-
-    for iv in one_set(rise_o):
-        t = iv.lo
-        if not backed(t, ones, p.d_r):
-            violations.append(
-                Violation(t, 1, 0, f"3.5.rise: rise at {t} without a held-1 run of length {p.d_r}")
-            )
-    for iv in one_set(fall_o):
-        t = iv.lo
-        if not backed(t, zeros, p.d_f):
-            violations.append(
-                Violation(t, 1, 0, f"3.5.fall: fall at {t} without a held-0 run of length {p.d_f}")
-            )
+    for t in _unbacked([iv.lo for iv in one_set(rise_o)], ones, p.d_r):
+        violations.append(
+            Violation(t, 1, 0, f"3.5.rise: rise at {t} without a held-1 run of length {p.d_r}")
+        )
+    for t in _unbacked([iv.lo for iv in one_set(fall_o)], zeros, p.d_f):
+        violations.append(
+            Violation(t, 1, 0, f"3.5.fall: fall at {t} without a held-0 run of length {p.d_f}")
+        )
     all_short = all(
         iv.lo is not None and iv.hi is not None and iv.hi - iv.lo < p.d_r for iv in ones
     )
@@ -573,3 +570,20 @@ def check_inertia(i: StepFn, p: Union[DetParams, DelayParams]) -> Report:
             Violation(t, 1, 0, f"3.5.null: every 1-run shorter than {p.d_r} yet output switches at {t}")
         )
     return _report("3.5", violations)
+
+
+def _unbacked(edges: list[Fraction], runs: list[Interval], d: Fraction) -> list[Fraction]:
+    """The sorted edge times t with no run covering both t - d and t.
+
+    The runs are sorted and disjoint, so the only run that can reach from
+    before t up to t is the first one not ending before t: later runs start
+    at or after its end. One pointer therefore serves every edge.
+    """
+    out = []
+    k = 0
+    for t in edges:
+        while k < len(runs) and runs[k].hi is not None and runs[k].hi < t:
+            k += 1
+        if k == len(runs) or (runs[k].lo is not None and runs[k].lo > t - d):
+            out.append(t)
+    return out

@@ -9,6 +9,7 @@ exact rationals; nothing in this module rounds.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +31,22 @@ class DomainError(ValueError):
     """An operation needed a signal but got a general step function."""
 
 
+# The interpreter's default limit on digits in int <-> str conversion. Literal
+# exponents beyond it are refused before 10**exp is built, and so are times
+# whose numerator or denominator could not be printed again.
+_MAX_DIGITS = 4300
+_TOO_MANY_DIGITS = 10**_MAX_DIGITS
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d*)$")
+
+
 def as_time(value: TimeLike) -> Fraction:
     """Coerce to an exact rational time.
 
-    Accepts Fraction, int, and strings 'p/q' or exact decimals like '0.75'.
-    Floats are rejected: binary floats would silently break exactness.
+    Accepts Fraction, int, and strings 'p/q' or exact decimals like '0.75'
+    or '1.5e3'. Floats are rejected: binary floats would silently break
+    exactness. String literals with an exponent beyond 4300 in magnitude, or
+    whose value has more than 4300 digits above or below the line, are
+    rejected too.
     """
     if isinstance(value, Fraction):
         return value
@@ -43,10 +55,18 @@ def as_time(value: TimeLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exp = _EXPONENT.search(text)
+        # five significant digits of the exponent already exceed the limit
+        if exp and int(exp.group(1)[:5] or 0) > _MAX_DIGITS:
+            raise ConstructionError(f"time literal {value!r}: exponent beyond {_MAX_DIGITS}")
         try:
-            return Fraction(value.strip())
+            t = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConstructionError(f"bad time literal {value!r}") from exc
+        if abs(t.numerator) >= _TOO_MANY_DIGITS or t.denominator >= _TOO_MANY_DIGITS:
+            raise ConstructionError(f"time literal {value!r} has more than {_MAX_DIGITS} digits")
+        return t
     raise ConstructionError(f"cannot interpret {value!r} as a time")
 
 
@@ -295,6 +315,10 @@ class StepFn:
 def canonical(before, pieces: Iterable[tuple]) -> StepFn:
     """Build the canonical StepFn for `before` plus (time, point, interval)
     triples with strictly increasing times. Removable breakpoints are elided.
+
+    This is the entry point for outside input: times and bits are coerced
+    and checked here. Kernel ops build StepFn directly from fields that are
+    already valid.
     """
     before = _bit(before)
     times: list[Fraction] = []
@@ -325,37 +349,86 @@ def from_changes(changes: Iterable[tuple], before=0) -> StepFn:
     return canonical(before, [(t, b, b) for t, b in changes])
 
 
+# truth tables indexed by 2*a + b ('not' ignores b)
 _BIT_OPS = {
-    "not": lambda a, b: 1 - a,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "leq": lambda a, b: (1 - a) | b,  # pointwise implication a <= b
+    "not": (1, 1, 0, 0),
+    "and": (0, 0, 0, 1),
+    "or": (0, 1, 1, 1),
+    "xor": (0, 1, 1, 0),
+    "leq": (1, 1, 0, 1),  # pointwise implication a <= b
 }
 
 
 def pointwise(op: str, f: StepFn, g: Optional[StepFn] = None) -> StepFn:
     if op not in _BIT_OPS:
         raise ParameterError(f"unknown pointwise op {op!r}")
-    fn = _BIT_OPS[op]
     if op == "not":
         if g is not None:
             raise ParameterError("'not' takes a single operand")
-        return canonical(
-            fn(f.before, 0),
-            [
-                (t, fn(v, 0), fn(w, 0))
-                for t, v, w in zip(f.times, f.point_values, f.interval_values)
-            ],
+        # negation keeps every breakpoint essential, so f's times carry over
+        return StepFn(
+            1 - f.before,
+            f.times,
+            tuple(1 - v for v in f.point_values),
+            tuple(1 - w for w in f.interval_values),
         )
     if g is None:
         raise ParameterError(f"{op!r} needs two operands")
-    merged = sorted(set(f.times) | set(g.times))
-    pieces = [
-        (t, fn(f.eval(t), g.eval(t)), fn(f.value_after(t), g.value_after(t)))
-        for t in merged
-    ]
-    return canonical(fn(f.before, g.before), pieces)
+    return _merge(_BIT_OPS[op], f, g)
+
+
+def _merge(table: tuple, f: StepFn, g: StepFn) -> StepFn:
+    """One two-pointer pass over the breakpoints of f and g.
+
+    a and b are the operands' values on the open interval after the current
+    time; a breakpoint of only one operand sees the other's interval value.
+    A merged breakpoint whose point value equals the interval values on both
+    sides is removable and is dropped on the spot.
+    """
+    ft, fp, fw = f.times, f.point_values, f.interval_values
+    gt, gp, gw = g.times, g.point_values, g.interval_values
+    nf, ng = len(ft), len(gt)
+    i = j = 0
+    a, b = f.before, g.before
+    before = prev_w = table[2 * a + b]
+    times: list[Fraction] = []
+    pvals: list[int] = []
+    ivals: list[int] = []
+    while i < nf or j < ng:
+        if j == ng:
+            t = ft[i]
+            v = table[2 * fp[i] + b]
+            a = fw[i]
+            i += 1
+        elif i == nf:
+            t = gt[j]
+            v = table[2 * a + gp[j]]
+            b = gw[j]
+            j += 1
+        else:
+            t, u = ft[i], gt[j]
+            if t == u:
+                v = table[2 * fp[i] + gp[j]]
+                a, b = fw[i], gw[j]
+                i += 1
+                j += 1
+            elif t < u:
+                v = table[2 * fp[i] + b]
+                a = fw[i]
+                i += 1
+            else:
+                t = u
+                v = table[2 * a + gp[j]]
+                b = gw[j]
+                j += 1
+        w = table[2 * a + b]
+        if v == prev_w and v == w:
+            continue
+        times.append(t)
+        pvals.append(v)
+        ivals.append(w)
+        prev_w = w
+    return StepFn(before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def not_(f: StepFn) -> StepFn:
@@ -392,13 +465,19 @@ def shift(f: StepFn, delta: TimeLike) -> StepFn:
 
 def left_limit(f: StepFn) -> StepFn:
     """x(t-0): interval values are kept, the value at each breakpoint becomes
-    the value of the open interval immediately to its left."""
-    pieces = []
+    the value of the open interval immediately to its left. A breakpoint
+    survives only where the interval value changes."""
+    times: list[Fraction] = []
+    pvals: list[int] = []
+    ivals: list[int] = []
     prev_w = f.before
     for t, w in zip(f.times, f.interval_values):
-        pieces.append((t, prev_w, w))
-        prev_w = w
-    return canonical(f.before, pieces)
+        if w != prev_w:
+            times.append(t)
+            pvals.append(prev_w)
+            ivals.append(w)
+            prev_w = w
+    return StepFn(f.before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def derivative(f: StepFn) -> StepFn:

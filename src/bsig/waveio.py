@@ -249,15 +249,36 @@ def _report_doc(r: Report) -> dict:
     }
 
 
+def _field(doc, key: str, kind: type, where: str):
+    """doc[key] checked to be a `kind`; a malformed document raises
+    ParameterError naming the field."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ParameterError(f"{where}: field {key!r} is missing")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ParameterError(
+            f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def _report_from_doc(doc: dict) -> Report:
-    return Report(
-        doc["condition"],
-        doc["verdict"].upper(),
-        tuple(
-            Violation(_witness_parse(v["witness"]), v["lhs"], v["rhs"], v["clause"])
-            for v in doc["violations"]
-        ),
-    )
+    condition = _field(doc, "condition", str, "report")
+    verdict = _field(doc, "verdict", str, "report")
+    violations = []
+    for k, v in enumerate(_field(doc, "violations", list, "report")):
+        where = f"report violations[{k}]"
+        violations.append(
+            Violation(
+                _witness_parse(_field(v, "witness", str, where)),
+                _field(v, "lhs", int, where),
+                _field(v, "rhs", int, where),
+                _field(v, "clause", str, where),
+            )
+        )
+    return Report(condition, verdict.upper(), tuple(violations))
 
 
 def write_report(r) -> str:
@@ -293,11 +314,12 @@ def summarize_report(r) -> str:
 def parse_report(text: str):
     """Inverse of write_report for both document kinds."""
     doc = json.loads(text)
-    if doc.get("kind") == "report":
+    kind = _field(doc, "kind", str, "report document")
+    if kind == "report":
         return _report_from_doc(doc)
-    if doc.get("kind") == "fuzz-report":
+    if kind == "fuzz-report":
         return _fuzz_from_doc(doc)
-    raise ParameterError(f"unknown report kind {doc.get('kind')!r}")
+    raise ParameterError(f"unknown report kind {kind!r}")
 
 
 def _fuzz_doc(r) -> dict:
@@ -335,33 +357,38 @@ def _fuzz_doc(r) -> dict:
 
 
 def _fuzz_from_doc(doc: dict):
-    c = doc["config"]
+    c = _field(doc, "config", dict, "fuzz report")
     config = FuzzConfig(
-        trials=c["trials"],
-        seed=c["seed"],
-        horizon=as_time(c["horizon"]),
-        max_switches=c["max_switches"],
-        granularity=c["granularity"],
-        delay_granularity=c["delay_granularity"],
-        max_delay=as_time(c["max_delay"]),
+        trials=_field(c, "trials", int, "fuzz config"),
+        seed=_field(c, "seed", int, "fuzz config"),
+        horizon=as_time(_field(c, "horizon", str, "fuzz config")),
+        max_switches=_field(c, "max_switches", int, "fuzz config"),
+        granularity=_field(c, "granularity", int, "fuzz config"),
+        delay_granularity=_field(c, "delay_granularity", int, "fuzz config"),
+        max_delay=as_time(_field(c, "max_delay", str, "fuzz config")),
     )
-    refutations = tuple(
-        Refutation(
-            ref["claim"],
-            Fixture(
-                ref["name"],
-                parse_bsig(ref["i"]),
-                parse_bsig(ref["o"]),
-                DelayParams(*[as_time(x) for x in ref["p"]]),
-                dict(ref["expected"]),
-            ),
-            ref["detail"],
+    refutations = []
+    for k, ref in enumerate(_field(doc, "refutations", list, "fuzz report")):
+        where = f"fuzz report refutations[{k}]"
+        delays = _field(ref, "p", list, where)
+        if len(delays) != 4:
+            raise ParameterError(f"{where}: field 'p' must list 4 delays, got {len(delays)}")
+        refutations.append(
+            Refutation(
+                _field(ref, "claim", str, where),
+                Fixture(
+                    _field(ref, "name", str, where),
+                    parse_bsig(_field(ref, "i", str, where)),
+                    parse_bsig(_field(ref, "o", str, where)),
+                    DelayParams(*[as_time(x) for x in delays]),
+                    dict(_field(ref, "expected", dict, where)),
+                ),
+                _field(ref, "detail", str, where),
+            )
         )
-        for ref in doc["refutations"]
-    )
     return FuzzReport(
         config=config,
-        confirmations=dict(doc["confirmations"]),
-        refutations=refutations,
-        strictness_examples=doc["strictness_examples"],
+        confirmations=dict(_field(doc, "confirmations", dict, "fuzz report")),
+        refutations=tuple(refutations),
+        strictness_examples=_field(doc, "strictness_examples", int, "fuzz report"),
     )

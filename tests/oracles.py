@@ -1,12 +1,27 @@
 """Independent reference implementations used to cross-check the symbolic
-operators. Everything here works by finite sampling of piecewise-constant
-functions (representative points per piece) or by literal quantifier
-evaluation, never by reusing the interval-set machinery under test.
+operators. Most work by finite sampling of piecewise-constant functions
+(representative points per piece) or by literal quantifier evaluation, never
+by reusing the interval-set machinery under test. The last section keeps
+earlier, slower implementations of kernel ops and checkers that the fast
+ones must match exactly.
 """
 
 from fractions import Fraction
 
-from bsig import StepFn
+from bsig import (
+    Report,
+    StepFn,
+    Violation,
+    canonical,
+    constant,
+    didb_simulate,
+    not_,
+    one_set,
+    require_signal,
+    right_continuous_runs,
+    semi_derivatives,
+    switch_points,
+)
 
 # ---------------------------------------------------------------------------
 # Sampling helpers
@@ -218,3 +233,130 @@ def lit_c_verdict(i: StepFn, o: StepFn, p) -> str:
         if t >= 0 and not answered(t, p.d_f_min, p.d_f_max, ri, fo):
             return "FAIL"
     return "PASS"
+
+
+# ---------------------------------------------------------------------------
+# Earlier kernel and checker implementations, kept as differential oracles
+# ---------------------------------------------------------------------------
+
+_BIT_FNS = {
+    "not": lambda a, b: 1 - a,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "leq": lambda a, b: (1 - a) | b,
+}
+
+
+def pointwise_eval(op: str, f: StepFn, g: StepFn = None) -> StepFn:
+    """pointwise by evaluating both operands at every merged breakpoint and
+    canonicalizing the result."""
+    fn = _BIT_FNS[op]
+    if op == "not":
+        return canonical(
+            fn(f.before, 0),
+            [(t, fn(v, 0), fn(w, 0)) for t, v, w in zip(f.times, f.point_values, f.interval_values)],
+        )
+    merged = sorted(set(f.times) | set(g.times))
+    pieces = [
+        (t, fn(f.eval(t), g.eval(t)), fn(f.value_after(t), g.value_after(t)))
+        for t in merged
+    ]
+    return canonical(fn(f.before, g.before), pieces)
+
+
+def left_limit_pieces(f: StepFn) -> StepFn:
+    """x(t-0) through canonical: every breakpoint takes its left interval value."""
+    pieces = []
+    prev_w = f.before
+    for t, w in zip(f.times, f.interval_values):
+        pieces.append((t, prev_w, w))
+        prev_w = w
+    return canonical(f.before, pieces)
+
+
+def check_stability_nested(i: StepFn, o: StepFn) -> Report:
+    """check_stability as a scan of all output switches per input run."""
+    require_signal(i, "input")
+    require_signal(o, "output")
+    o_switches = switch_points(o)
+    violations = []
+    for start, end, value in right_continuous_runs(i):
+        lo = Fraction(0) if start is None else max(start, Fraction(0))
+        if end is not None and end <= lo:
+            continue
+        if o.eval(lo) == value:
+            agree = lo
+        else:
+            agree = None
+            for t in o_switches:
+                if t > lo and (end is None or t < end) and o.eval(t) == value:
+                    agree = t
+                    break
+        if agree is None:
+            continue
+        for t in o_switches:
+            if t > agree and (end is None or t <= end):
+                violations.append(
+                    Violation(
+                        t,
+                        o.eval(t),
+                        value,
+                        f"3.4: output leaves stable state at {t} while input "
+                        f"holds {value}",
+                    )
+                )
+                break
+    return Report("3.4", "FAIL" if violations else "PASS", tuple(violations))
+
+
+def backed_scan(t: Fraction, runs, d: Fraction) -> bool:
+    """Some run covers both t - d and t (scanning every run)."""
+    for iv in runs:
+        if (iv.lo is None or iv.lo <= t - d) and (iv.hi is None or t <= iv.hi):
+            return True
+    return False
+
+
+def check_inertia_nested(i: StepFn, p) -> Report:
+    """check_inertia testing every input run for every output edge."""
+    o = didb_simulate(i, p)
+    rise_o, fall_o = semi_derivatives(o)
+    ones = list(one_set(i))
+    zeros = list(one_set(not_(i)))
+    violations = []
+    for iv in one_set(rise_o):
+        t = iv.lo
+        if not backed_scan(t, ones, p.d_r):
+            violations.append(
+                Violation(t, 1, 0, f"3.5.rise: rise at {t} without a held-1 run of length {p.d_r}")
+            )
+    for iv in one_set(fall_o):
+        t = iv.lo
+        if not backed_scan(t, zeros, p.d_f):
+            violations.append(
+                Violation(t, 1, 0, f"3.5.fall: fall at {t} without a held-0 run of length {p.d_f}")
+            )
+    all_short = all(
+        iv.lo is not None and iv.hi is not None and iv.hi - iv.lo < p.d_r for iv in ones
+    )
+    if all_short and o != constant(0):
+        t = switch_points(o)[0]
+        violations.append(
+            Violation(t, 1, 0, f"3.5.null: every 1-run shorter than {p.d_r} yet output switches at {t}")
+        )
+    return Report("3.5", "FAIL" if violations else "PASS", tuple(violations))
+
+
+def draw_delay_enumerated(rng, granularity: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """The random sampling policy's draw, choosing from the sorted list of
+    every candidate: both band ends plus the grid points inside the band."""
+    g = granularity
+    first = -((-lo * g) // 1)
+    last = (hi * g) // 1
+    candidates = {lo, hi}
+    k = first
+    while k <= last:
+        candidates.add(Fraction(int(k), g))
+        k += 1
+    return rng.choice(sorted(candidates))

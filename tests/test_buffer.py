@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,10 +25,18 @@ from bsig import (
     is_signal,
     nidb_sample,
     nidb_verify,
+    one_set,
     switch_points,
 )
-from conftest import chi, delay_params, det_params, signals
-from oracles import didb_grid
+from bsig.buffer import _draw_delay, _unbacked
+from conftest import chi, delay_params, det_params, fractions_st, signals
+from oracles import (
+    backed_scan,
+    check_inertia_nested,
+    check_stability_nested,
+    didb_grid,
+    draw_delay_enumerated,
+)
 
 # ---------------------------------------------------------------------------
 # Parameters and reports
@@ -244,6 +254,27 @@ def test_random_policy_collapses_when_band_degenerate(i, p, seed):
     assert nidb_sample(i, band, SamplePolicy.random(seed)) == didb_simulate(i, p)
 
 
+@given(
+    st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=12),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_draw_delay_matches_enumeration(lo, width, granularity, seed):
+    hi = lo + width
+    policy = SamplePolicy.random(seed, granularity)
+    fast, slow = Random(seed), Random(seed)
+    for _ in range(3):
+        assert _draw_delay(policy, fast, lo, hi) == draw_delay_enumerated(slow, granularity, lo, hi)
+
+
+def test_wide_band_sampling_is_fast():
+    start = time.perf_counter()
+    o = nidb_sample(chi((0, 1)), DelayParams(1, 10**5, 1, 1), SamplePolicy.random(7, 16))
+    assert time.perf_counter() - start < 0.5
+    assert len(switch_points(o)) == 1
+
+
 def test_sample_policy_validation():
     with pytest.raises(ParameterError):
         SamplePolicy("random")  # no seed
@@ -318,3 +349,43 @@ def test_inertia_examples():
 @given(signals(), det_params())
 def test_inertia_holds_for_simulator(i, p):
     assert check_inertia(i, p).passed
+
+
+@given(signals(max_points=10), signals(max_points=10), det_params())
+def test_stability_matches_nested_oracle(i, o, p):
+    assert check_stability(i, o, p) == check_stability_nested(i, o)
+
+
+@given(signals(max_points=10), det_params())
+def test_inertia_matches_nested_oracle(i, p):
+    assert check_inertia(i, p) == check_inertia_nested(i, p)
+
+
+@given(signals(max_points=10), st.lists(fractions_st, max_size=8), st.fractions(min_value=Fraction(1, 8), max_value=4))
+def test_unbacked_matches_scan(x, edges, d):
+    edges = sorted(edges)
+    for runs in (list(one_set(x)), list(one_set(~x))):
+        assert _unbacked(edges, runs, d) == [t for t in edges if not backed_scan(t, runs, d)]
+
+
+def _alternating(n: int, seed: int):
+    rng = Random(seed)
+    t = Fraction(0)
+    changes = []
+    for k in range(n):
+        t += Fraction(rng.randint(10, 24), 4)
+        changes.append((t, 1 - k % 2))
+    return from_changes(changes)
+
+
+def test_stability_and_inertia_scale_linearly():
+    # both were quadratic in the breakpoint count (tens of seconds here)
+    i = _alternating(4000, seed=1)
+    p = DetParams(1, 2)
+    o = didb_simulate(i, p)
+    start = time.perf_counter()
+    assert check_stability(i, o, p).passed
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert check_inertia(i, p).passed
+    assert time.perf_counter() - start < 1

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 from bsig import (
@@ -179,3 +180,12 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--mode", "didb", "--in", i, "--out", o, "--params", "1,2,1,2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_huge_exponent_literal_fails_fast(tmp_path, capsys):
+    bad = tmp_path / "huge.bsig"
+    bad.write_text("1e2000000 1\n")
+    start = time.perf_counter()
+    assert main(["derive", "--kind", "D", "--in", str(bad)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "exponent" in capsys.readouterr().err

@@ -35,8 +35,8 @@ from bsig import (
     switch_points,
     xor,
 )
-from conftest import chi, fractions_st, signals, stepfns
-from oracles import left_limit_at, probe_grid
+from conftest import bits_st, chi, fractions_st, signals, stepfns
+from oracles import left_limit_at, left_limit_pieces, pointwise_eval, probe_grid
 
 # ---------------------------------------------------------------------------
 # Times
@@ -56,6 +56,18 @@ def test_as_time_forms():
 def test_as_time_rejects(bad):
     with pytest.raises((ValueError, ZeroDivisionError)):
         as_time(bad)
+
+
+@pytest.mark.parametrize("bad", ["1e2000000", "1E-2000000", "2e+4301", "1e" + "9" * 5000, "1e4300", "1e-4300"])
+def test_as_time_rejects_unprintable_literals(bad):
+    with pytest.raises(ConstructionError):
+        as_time(bad)
+
+
+def test_as_time_accepts_literals_at_the_digit_limit():
+    assert as_time("1e4299") == 10**4299
+    assert as_time("5e-4299") == Fraction(1, 2 * 10**4298)
+    assert as_time("0.5e+0003") == 500
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +235,28 @@ def test_pointwise_ops_match_truth_tables(f, g):
         assert or_(f, g).eval(t) == (f.eval(t) | g.eval(t))
         assert xor(f, g).eval(t) == (f.eval(t) ^ g.eval(t))
         assert pointwise("leq", f, g).eval(t) == ((1 - f.eval(t)) | g.eval(t))
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two general StepFns drawing their breakpoints from one shared pool, so
+    that coinciding breakpoints are common."""
+    pool = sorted(draw(st.sets(fractions_st, max_size=12)))
+
+    def pick():
+        times = [t for t in pool if draw(st.booleans())]
+        return canonical(draw(bits_st), [(t, draw(bits_st), draw(bits_st)) for t in times])
+
+    return pick(), pick()
+
+
+@given(overlapping_pairs())
+def test_merge_kernel_matches_eval_oracle(pair):
+    f, g = pair
+    for op in ("and", "or", "xor", "leq"):
+        assert pointwise(op, f, g) == pointwise_eval(op, f, g)
+    assert not_(f) == pointwise_eval("not", f)
+    assert left_limit(f) == left_limit_pieces(f)
 
 
 @given(stepfns(), stepfns())

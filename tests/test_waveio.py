@@ -262,6 +262,30 @@ def test_parse_report_rejects_unknown_kind():
         parse_report(json.dumps({"kind": "mystery"}))
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "report"}, "'condition'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail", "violations": [{}]}, "'witness'"),
+        ([1], "JSON object"),
+        ({"kind": "report", "condition": "4.1a", "verdict": 1, "violations": []}, "'verdict'"),
+    ],
+)
+def test_parse_report_names_malformed_field(doc, field):
+    with pytest.raises(ParameterError, match=field):
+        parse_report(json.dumps(doc))
+
+
+def test_parse_fuzz_report_names_malformed_field():
+    doc = json.loads(write_report(fuzz_claims(FuzzConfig(trials=2, seed=0))))
+    doc["refutations"] = [{"claim": "c", "name": "n", "i": "0 1\n", "o": "1 1\n", "p": ["1", "2", "1"]}]
+    with pytest.raises(ParameterError, match="'p'"):
+        parse_report(json.dumps(doc))
+    del doc["config"]["seed"]
+    with pytest.raises(ParameterError, match="'seed'"):
+        parse_report(json.dumps(doc))
+
+
 def test_summaries():
     text = summarize_report(Report("4.3a", "PASS"))
     assert "4.3a: PASS" in text
