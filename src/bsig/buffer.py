@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from random import Random
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .stepfn import (
     ConstructionError,
@@ -42,6 +42,7 @@ from .stepfn import (
     switch_points,
     violation_set,
     window,
+    xor,
 )
 
 __all__ = [
@@ -191,34 +192,41 @@ def _null_before(clause: str, o: StepFn, bound: Fraction) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-def _enabling_windows(i: StepFn, d_r: Fraction, d_f: Fraction) -> tuple[StepFn, StepFn]:
-    """(rise enable, fall enable): input held 1 resp. 0 through [t-d, t)."""
-    return window("all", i, d_r, "co"), window("all", not_(i), d_f, "co")
+def _run_walk(i: StepFn, delay: Callable[[int], Fraction]) -> StepFn:
+    """The buffer output for input signal i, one episode per input run.
+
+    Walks the constant runs of i in order. Each run whose value disagrees
+    with the current output opens an episode: delay(value) is the delay of
+    that edge, and the output switches at run start + delay unless the run
+    ends first, which cancels the pending switch. A run of length exactly
+    the delay still switches: its held window [end - delay, end) is full.
+    """
+    times: list[Fraction] = []
+    values: list[int] = []
+    cur = 0
+    for start, end, value in right_continuous_runs(i):
+        if value == cur:
+            continue
+        d = delay(value)
+        if end is None or d <= end - start:
+            times.append(start + d)
+            values.append(value)
+            cur = value
+    # each switch lands inside its own run, so times increase and every
+    # breakpoint flips the value: the fields are already canonical
+    return StepFn(0, tuple(times), tuple(values), tuple(values))
 
 
 def didb_simulate(i: StepFn, p: Union[DetParams, DelayParams]) -> StepFn:
     """The unique output of the deterministic buffer for input i.
 
     o toggles exactly when its current value disagrees with a freshly filled
-    held-input window. The 1-runs of the window functions cover precisely the
-    instants where each toggle is enabled, and toggles can only happen at
-    their starting points, so a single sweep over those starts suffices.
+    held-input window, which happens d_r (d_f) after the start of an input
+    1-run (0-run) that lasts at least that long.
     """
     p = _det_params(p)
     require_signal(i, "input")
-    wr, wf = _enabling_windows(i, p.d_r, p.d_f)
-    events: list[tuple[Fraction, int]] = []
-    for target, w in ((1, wr), (0, wf)):
-        for iv in one_set(w):
-            if iv.lo is not None:
-                events.append((iv.lo, target))
-    cur = 0
-    changes: list[tuple[Fraction, int]] = []
-    for t, target in sorted(events):
-        if target != cur:
-            changes.append((t, target))
-            cur = target
-    return from_changes(changes)
+    return _run_walk(i, lambda value: p.d_r if value else p.d_f)
 
 
 def didb_verify(
@@ -238,7 +246,7 @@ def didb_verify(
         raise ParameterError(f"unknown form {form!r}")
 
     prev = left_limit(o)
-    wr, wf = _enabling_windows(i, p.d_r, p.d_f)
+    wr, wf = window("all", i, p.d_r, "co"), window("all", not_(i), p.d_f, "co")
     enables = and_(not_(prev), wr), and_(prev, wf)
     init = _null_before("init: output not null before rise delay", o, p.d_r)
     if form != "all":
@@ -315,44 +323,35 @@ def nidb_verify(i: StepFn, o: StepFn, p: DelayParams, form: str = "a") -> Report
     require_signal(o, "output")
 
     prev = left_limit(o)
-    rise_o, fall_o = semi_derivatives(o)
-    wmax_r = window("all", i, p.d_r_max, "co")
-    wmin_r = window("all", i, p.d_r_min, "co")
-    wmax_f = window("all", not_(i), p.d_f_max, "co")
-    wmin_f = window("all", not_(i), p.d_f_min, "co")
+    not_prev, not_i = not_(prev), not_(i)
+    rise_max = and_(not_prev, window("all", i, p.d_r_max, "co"))
+    rise_min = and_(not_prev, window("all", i, p.d_r_min, "co"))
+    fall_max = and_(prev, window("all", not_i, p.d_f_max, "co"))
+    fall_min = and_(prev, window("all", not_i, p.d_f_min, "co"))
 
     violations = _null_before("init: output not null before d_r_min", o, p.d_r_min)
     if form == "a":
+        # the semi-derivatives of o, sharing its left limit
+        rise_o, fall_o = and_(not_prev, o), and_(prev, not_(o))
         violations += _leq_clause(
-            "4.1a.rise-lower: o(t-0)'*held1(max) <= o(t-0)'*o(t)",
-            and_(not_(prev), wmax_r),
-            rise_o,
+            "4.1a.rise-lower: o(t-0)'*held1(max) <= o(t-0)'*o(t)", rise_max, rise_o
         )
         violations += _leq_clause(
-            "4.1a.rise-upper: o(t-0)'*o(t) <= o(t-0)'*held1(min)",
-            rise_o,
-            and_(not_(prev), wmin_r),
+            "4.1a.rise-upper: o(t-0)'*o(t) <= o(t-0)'*held1(min)", rise_o, rise_min
         )
         violations += _leq_clause(
-            "4.1a.fall-lower: o(t-0)*held0(max) <= o(t-0)*o(t)'",
-            and_(prev, wmax_f),
-            fall_o,
+            "4.1a.fall-lower: o(t-0)*held0(max) <= o(t-0)*o(t)'", fall_max, fall_o
         )
         violations += _leq_clause(
-            "4.1a.fall-upper: o(t-0)*o(t)' <= o(t-0)*held0(min)",
-            fall_o,
-            and_(prev, wmin_f),
+            "4.1a.fall-upper: o(t-0)*o(t)' <= o(t-0)*held0(min)", fall_o, fall_min
         )
         return _report("4.1a", violations)
+    d_o = xor(prev, o)  # the derivative of o
     violations += _leq_clause(
-        "4.1b.lower: max-window enables <= Do",
-        or_(and_(not_(prev), wmax_r), and_(prev, wmax_f)),
-        derivative(o),
+        "4.1b.lower: max-window enables <= Do", or_(rise_max, fall_max), d_o
     )
     violations += _leq_clause(
-        "4.1b.upper: Do <= min-window enables",
-        derivative(o),
-        or_(and_(not_(prev), wmin_r), and_(prev, wmin_f)),
+        "4.1b.upper: Do <= min-window enables", d_o, or_(rise_min, fall_min)
     )
     return _report("4.1b", violations)
 
@@ -421,11 +420,9 @@ def _draw_delay(policy: SamplePolicy, rng: Optional[Random], lo: Fraction, hi: F
 def nidb_sample(i: StepFn, p: DelayParams, policy: SamplePolicy) -> StepFn:
     """One admissible output of the banded-delay buffer for input i.
 
-    Walks the constant runs of i in order. Each run whose value disagrees
-    with the current output opens an episode: a delay is drawn from the band
-    and the output switches at run start + delay, unless the run ends first,
-    which cancels the pending switch. Episodes whose run outlives the max
-    delay always switch because the drawn delay never exceeds it.
+    The same run walk as didb_simulate, with each episode's delay drawn from
+    its band by the policy. Episodes whose run outlives the max delay always
+    switch because the drawn delay never exceeds it.
 
     The result is checked against nidb_verify before being returned.
     """
@@ -433,17 +430,8 @@ def nidb_sample(i: StepFn, p: DelayParams, policy: SamplePolicy) -> StepFn:
         raise ParameterError(f"expected DelayParams, got {p!r}")
     require_signal(i, "input")
     rng = Random(policy.seed) if policy.kind == "random" else None
-    cur = 0
-    changes: list[tuple[Fraction, int]] = []
-    for start, end, value in right_continuous_runs(i):
-        if value == cur or start is None:
-            continue
-        lo, hi = (p.d_r_min, p.d_r_max) if value == 1 else (p.d_f_min, p.d_f_max)
-        delay = _draw_delay(policy, rng, lo, hi)
-        if end is None or delay <= end - start:
-            changes.append((start + delay, value))
-            cur = value
-    out = from_changes(changes)
+    bands = {1: (p.d_r_min, p.d_r_max), 0: (p.d_f_min, p.d_f_max)}
+    out = _run_walk(i, lambda value: _draw_delay(policy, rng, *bands[value]))
     report = nidb_verify(i, out, p, "a")
     if not report.passed:  # sampler bug, not a property of the input
         raise RuntimeError(f"sampled output failed conformance: {report}")
@@ -483,13 +471,17 @@ def automaton_trace(i: StepFn, o: StepFn) -> list[TraceEvent]:
     """
     require_signal(i, "input")
     require_signal(o, "output")
-    prev = AutomatonState(0, 0)
+    # every switch flips its signal's bit, so every switch time is an event
+    it, ot = switch_points(i), switch_points(o)
+    a = b = j = k = 0
     events: list[TraceEvent] = []
-    for t in sorted(set(switch_points(i)) | set(switch_points(o))):
-        state = AutomatonState(i.eval(t), o.eval(t))
-        if state != prev:
-            events.append(TraceEvent(t, state))
-            prev = state
+    while j < len(it) or k < len(ot):
+        t = it[j] if k == len(ot) or (j < len(it) and it[j] <= ot[k]) else ot[k]
+        if j < len(it) and it[j] == t:
+            a, j = 1 - a, j + 1
+        if k < len(ot) and ot[k] == t:
+            b, k = 1 - b, k + 1
+        events.append(TraceEvent(t, AutomatonState(a, b)))
     return events
 
 
@@ -548,32 +540,33 @@ def check_inertia(i: StepFn, p: Union[DetParams, DelayParams]) -> Report:
     """
     p = _det_params(p)
     require_signal(i, "input")
-    o = didb_simulate(i, p)
-    rise_o, fall_o = semi_derivatives(o)
-    ones = list(one_set(i))
-    zeros = list(one_set(not_(i)))
+    o_runs = right_continuous_runs(didb_simulate(i, p))[1:]
+    rises = [start for start, _, value in o_runs if value == 1]
+    falls = [start for start, _, value in o_runs if value == 0]
+    runs = right_continuous_runs(i)
+    ones = [(start, end) for start, end, value in runs if value == 1]
+    zeros = [(start, end) for start, end, value in runs if value == 0]
     violations: list[Violation] = []
-    for t in _unbacked([iv.lo for iv in one_set(rise_o)], ones, p.d_r):
+    for t in _unbacked(rises, ones, p.d_r):
         violations.append(
             Violation(t, 1, 0, f"3.5.rise: rise at {t} without a held-1 run of length {p.d_r}")
         )
-    for t in _unbacked([iv.lo for iv in one_set(fall_o)], zeros, p.d_f):
+    for t in _unbacked(falls, zeros, p.d_f):
         violations.append(
             Violation(t, 1, 0, f"3.5.fall: fall at {t} without a held-0 run of length {p.d_f}")
         )
-    all_short = all(
-        iv.lo is not None and iv.hi is not None and iv.hi - iv.lo < p.d_r for iv in ones
-    )
-    if all_short and o != constant(0):
-        t = switch_points(o)[0]
+    all_short = all(end is not None and end - start < p.d_r for start, end in ones)
+    if all_short and rises:  # the first switch of a signal is a rise
+        t = rises[0]
         violations.append(
             Violation(t, 1, 0, f"3.5.null: every 1-run shorter than {p.d_r} yet output switches at {t}")
         )
     return _report("3.5", violations)
 
 
-def _unbacked(edges: list[Fraction], runs: list[Interval], d: Fraction) -> list[Fraction]:
-    """The sorted edge times t with no run covering both t - d and t.
+def _unbacked(edges: list[Fraction], runs: list[tuple], d: Fraction) -> list[Fraction]:
+    """The sorted edge times t with no (start, end) run covering both t - d
+    and t; None marks an unbounded end.
 
     The runs are sorted and disjoint, so the only run that can reach from
     before t up to t is the first one not ending before t: later runs start
@@ -582,8 +575,8 @@ def _unbacked(edges: list[Fraction], runs: list[Interval], d: Fraction) -> list[
     out = []
     k = 0
     for t in edges:
-        while k < len(runs) and runs[k].hi is not None and runs[k].hi < t:
+        while k < len(runs) and runs[k][1] is not None and runs[k][1] < t:
             k += 1
-        if k == len(runs) or (runs[k].lo is not None and runs[k].lo > t - d):
+        if k == len(runs) or (runs[k][0] is not None and runs[k][0] > t - d):
             out.append(t)
     return out

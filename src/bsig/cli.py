@@ -22,7 +22,7 @@ from .buffer import (
     nidb_verify,
 )
 from .litcmp import FuzzConfig, check_fixture, counterexample, fuzz_claims, lit_verify
-from .stepfn import as_time, derivative, one_set, semi_derivatives, switch_points, window
+from .stepfn import as_time, right_continuous_runs, switch_points, window
 from .waveio import (
     export_vcd,
     parse_bsig,
@@ -98,9 +98,9 @@ def _cmd_derive(args) -> int:
     if args.kind == "D":
         points = switch_points(x)
     else:
-        rise, fall = semi_derivatives(x)
-        picked = rise if args.kind == "rise" else fall
-        points = tuple(iv.lo for iv in one_set(picked))
+        # a rise starts each later 1-run, a fall each later 0-run
+        bit = 1 if args.kind == "rise" else 0
+        points = [start for start, _, value in right_continuous_runs(x)[1:] if value == bit]
     for t in points:
         print(t)
     return 0

@@ -149,16 +149,6 @@ class Interval:
         return f"{'[' if self.lo_closed else '('}{lo}, {hi}{']' if self.hi_closed else ')'}"
 
 
-def interval(lo, lo_closed, hi, hi_closed) -> Interval:
-    """Interval constructor that coerces endpoint times ('1/2', ints, ...)."""
-    return Interval(
-        None if lo is None else as_time(lo),
-        lo_closed,
-        None if hi is None else as_time(hi),
-        hi_closed,
-    )
-
-
 def point_interval(t) -> Interval:
     t = as_time(t)
     return Interval(t, True, t, True)
@@ -691,29 +681,20 @@ def require_signal(f: StepFn, role: str = "input") -> None:
 
 
 def switch_points(x: StepFn) -> tuple[Fraction, ...]:
-    """The minimal switching set of a signal: support of its derivative."""
+    """The minimal switching set of a signal, the support of its derivative.
+
+    A canonical signal keeps a breakpoint only where its value changes, so
+    its breakpoints are exactly its switches.
+    """
     require_signal(x)
-    spikes = one_set(derivative(x))
-    points = []
-    for iv in spikes:
-        if not iv.degenerate:  # cannot happen for signals
-            raise DomainError(f"derivative support contains interval {iv}")
-        points.append(iv.lo)
-    return tuple(points)
+    return x.times
 
 
 def right_continuous_runs(f: StepFn) -> list[tuple[Optional[Fraction], Optional[Fraction], int]]:
     """Maximal constant runs [start, end) of a right-continuous StepFn as
     (start, end, value), start None for the initial unbounded run and end
     None for the final one."""
-    for t, v, w in zip(f.times, f.point_values, f.interval_values):
-        if v != w:
-            raise DomainError(f"not right-continuous at {t}")
-    if not f.times:
-        return [(None, None, f.before)]
-    runs: list[tuple[Optional[Fraction], Optional[Fraction], int]] = []
-    runs.append((None, f.times[0], f.before))
-    for k, t in enumerate(f.times):
-        end = f.times[k + 1] if k + 1 < len(f.times) else None
-        runs.append((t, end, f.interval_values[k]))
-    return runs
+    if f.point_values != f.interval_values:
+        t = next(t for t, v, w in zip(f.times, f.point_values, f.interval_values) if v != w)
+        raise DomainError(f"not right-continuous at {t}")
+    return list(zip((None, *f.times), (*f.times, None), (f.before, *f.interval_values)))

@@ -9,7 +9,6 @@ rationals as strings so no consumer ever sees floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
@@ -24,11 +23,9 @@ from .stepfn import (
     from_changes,
     parse_interval,
     require_signal,
-    switch_points,
 )
 
 __all__ = [
-    "BsigDocument",
     "ParseError",
     "export_vcd",
     "parse_bsig",
@@ -48,100 +45,57 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# .bsig documents
+# .bsig text
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BsigDocument:
-    """Parsed model of a `.bsig` file: header plus ordered change points.
-
-    The signal is 0 before the first entry; each entry (t, b) switches the
-    value to b from t on.
-    """
-
-    entries: tuple[tuple[Fraction, int], ...] = ()
-    version: int = 1
-    name: Optional[str] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((t, b) for t, b in self.entries))
-        prev = None
-        for t, b in self.entries:
-            if not isinstance(t, Fraction):
-                raise ParameterError(f"entry time {t!r} is not an exact rational")
-            if b not in (0, 1):
-                raise ParameterError(f"entry bit {b!r} not in {{0, 1}}")
-            if t < 0:
-                raise ParameterError(f"entry time {t} is negative")
-            if prev is not None and t <= prev:
-                raise ParameterError(f"entry times not strictly increasing at {t}")
-            prev = t
-
-    @staticmethod
-    def from_signal(x: StepFn, name: Optional[str] = None) -> "BsigDocument":
-        require_signal(x, "waveform")
-        return BsigDocument(
-            tuple((t, x.eval(t)) for t in switch_points(x)), 1, name
-        )
-
-    def to_signal(self) -> StepFn:
-        return from_changes(self.entries)
-
-    def to_text(self) -> str:
-        lines = [f"# bsig {self.version}"]
-        if self.name is not None:
-            lines.append(f"# name: {self.name}")
-        for t, b in self.entries:
-            lines.append(f"{t} {b}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse(text: str) -> "BsigDocument":
-        version = 1
-        name = None
-        entries: list[tuple[Fraction, int]] = []
-        prev: Optional[Fraction] = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("bsig "):
-                    try:
-                        version = int(body[5:].strip())
-                    except ValueError:
-                        raise ParseError(lineno, f"bad version comment {raw!r}")
-                elif body.startswith("name:"):
-                    name = body[5:].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, f"expected '<time> <bit>', got {raw!r}")
-            try:
-                t = as_time(parts[0])
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc))
-            if parts[1] not in ("0", "1"):
-                raise ParseError(lineno, f"bit must be 0 or 1, got {parts[1]!r}")
-            if t < 0:
-                raise ParseError(lineno, f"negative time {t}")
-            if prev is not None and t <= prev:
-                raise ParseError(lineno, f"times not strictly increasing at {t}")
-            entries.append((t, int(parts[1])))
-            prev = t
-        return BsigDocument(tuple(entries), version, name)
-
-
 def parse_bsig(text: str) -> StepFn:
-    """Signal from `.bsig` text; canonicalizes redundant entries away."""
-    return BsigDocument.parse(text).to_signal()
+    """Signal from `.bsig` text; canonicalizes redundant entries away.
+
+    The signal is 0 before the first entry; each entry `<time> <bit>`
+    switches the value to bit from time on. Comment lines start with `#`;
+    a `# bsig N` line must name version 1.
+    """
+    changes: list[tuple[Fraction, int]] = []
+    prev: Optional[Fraction] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("bsig ") and body[5:].strip() != "1":
+                raise ParseError(lineno, f"unsupported version line {raw!r}, expected '# bsig 1'")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(lineno, f"expected '<time> <bit>', got {raw!r}")
+        try:
+            t = as_time(parts[0])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc))
+        if parts[1] not in ("0", "1"):
+            raise ParseError(lineno, f"bit must be 0 or 1, got {parts[1]!r}")
+        if t < 0:
+            raise ParseError(lineno, f"negative time {t}")
+        if prev is not None and t <= prev:
+            raise ParseError(lineno, f"times not strictly increasing at {t}")
+        changes.append((t, int(parts[1])))
+        prev = t
+    return from_changes(changes)
 
 
 def write_bsig(x: StepFn, name: Optional[str] = None) -> str:
-    """`.bsig` text for a signal; inverse of parse_bsig."""
-    return BsigDocument.from_signal(x, name).to_text()
+    """`.bsig` text for a signal; inverse of parse_bsig. The optional name
+    goes into a `# name:` comment and must fit on that line."""
+    require_signal(x, "waveform")
+    if name is not None and "".join(name.splitlines()) != name:
+        raise ParameterError(f"name {name!r} contains a line break")
+    lines = ["# bsig 1"]
+    if name is not None:
+        lines.append(f"# name: {name}")
+    lines += [f"{t} {b}" for t, b in zip(x.times, x.interval_values)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +218,14 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
+def _bit_field(doc, key: str, where: str) -> int:
+    """doc[key] checked to be the JSON integer 0 or 1."""
+    value = _field(doc, key, int, where)
+    if isinstance(value, bool) or value not in (0, 1):
+        raise ParameterError(f"{where}: field {key!r} must be 0 or 1, got {json.dumps(value)}")
+    return value
+
+
 def _report_from_doc(doc: dict) -> Report:
     condition = _field(doc, "condition", str, "report")
     verdict = _field(doc, "verdict", str, "report")
@@ -273,8 +235,8 @@ def _report_from_doc(doc: dict) -> Report:
         violations.append(
             Violation(
                 _witness_parse(_field(v, "witness", str, where)),
-                _field(v, "lhs", int, where),
-                _field(v, "rhs", int, where),
+                _bit_field(v, "lhs", where),
+                _bit_field(v, "rhs", where),
                 _field(v, "clause", str, where),
             )
         )

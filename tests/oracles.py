@@ -9,18 +9,21 @@ ones must match exactly.
 from fractions import Fraction
 
 from bsig import (
+    AutomatonState,
     Report,
     StepFn,
+    TraceEvent,
     Violation,
     canonical,
     constant,
-    didb_simulate,
+    from_changes,
     not_,
     one_set,
     require_signal,
     right_continuous_runs,
     semi_derivatives,
     switch_points,
+    window,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,8 +154,6 @@ def didb_grid(i: StepFn, d_r: Fraction, d_f: Fraction, step: Fraction) -> StepFn
     all signals involved are then constant between grid points, so checking
     held windows at grid points only is enough.
     """
-    from bsig import from_changes
-
     assert (d_r / step).denominator == 1 and (d_f / step).denominator == 1
     assert all((t / step).denominator == 1 for t in i.times)
     horizon = (max(i.times) if i.times else Fraction(0)) + d_r + d_f + 1
@@ -311,19 +312,19 @@ def check_stability_nested(i: StepFn, o: StepFn) -> Report:
 
 
 def backed_scan(t: Fraction, runs, d: Fraction) -> bool:
-    """Some run covers both t - d and t (scanning every run)."""
-    for iv in runs:
-        if (iv.lo is None or iv.lo <= t - d) and (iv.hi is None or t <= iv.hi):
+    """Some (start, end) run covers both t - d and t (scanning every run)."""
+    for lo, hi in runs:
+        if (lo is None or lo <= t - d) and (hi is None or t <= hi):
             return True
     return False
 
 
 def check_inertia_nested(i: StepFn, p) -> Report:
     """check_inertia testing every input run for every output edge."""
-    o = didb_simulate(i, p)
+    o = didb_simulate_windows(i, p)
     rise_o, fall_o = semi_derivatives(o)
-    ones = list(one_set(i))
-    zeros = list(one_set(not_(i)))
+    ones = [(iv.lo, iv.hi) for iv in one_set(i)]
+    zeros = [(iv.lo, iv.hi) for iv in one_set(not_(i))]
     violations = []
     for iv in one_set(rise_o):
         t = iv.lo
@@ -337,9 +338,7 @@ def check_inertia_nested(i: StepFn, p) -> Report:
             violations.append(
                 Violation(t, 1, 0, f"3.5.fall: fall at {t} without a held-0 run of length {p.d_f}")
             )
-    all_short = all(
-        iv.lo is not None and iv.hi is not None and iv.hi - iv.lo < p.d_r for iv in ones
-    )
+    all_short = all(lo is not None and hi is not None and hi - lo < p.d_r for lo, hi in ones)
     if all_short and o != constant(0):
         t = switch_points(o)[0]
         violations.append(
@@ -360,3 +359,37 @@ def draw_delay_enumerated(rng, granularity: int, lo: Fraction, hi: Fraction) -> 
         candidates.add(Fraction(int(k), g))
         k += 1
     return rng.choice(sorted(candidates))
+
+
+def didb_simulate_windows(i: StepFn, p) -> StepFn:
+    """The deterministic buffer from its held-input windows: o toggles at the
+    start of each 1-run of a window enable that disagrees with it."""
+    require_signal(i, "input")
+    wr, wf = window("all", i, p.d_r, "co"), window("all", not_(i), p.d_f, "co")
+    events = []
+    for target, w in ((1, wr), (0, wf)):
+        for iv in one_set(w):
+            if iv.lo is not None:
+                events.append((iv.lo, target))
+    cur = 0
+    changes = []
+    for t, target in sorted(events):
+        if target != cur:
+            changes.append((t, target))
+            cur = target
+    return from_changes(changes)
+
+
+def automaton_trace_eval(i: StepFn, o: StepFn) -> list:
+    """automaton_trace by evaluating both signals at every switch time and
+    keeping the state changes."""
+    require_signal(i, "input")
+    require_signal(o, "output")
+    prev = AutomatonState(0, 0)
+    events = []
+    for t in sorted(set(switch_points(i)) | set(switch_points(o))):
+        state = AutomatonState(i.eval(t), o.eval(t))
+        if state != prev:
+            events.append(TraceEvent(t, state))
+            prev = state
+    return events

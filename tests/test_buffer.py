@@ -31,10 +31,12 @@ from bsig import (
 from bsig.buffer import _draw_delay, _unbacked
 from conftest import chi, delay_params, det_params, fractions_st, signals
 from oracles import (
+    automaton_trace_eval,
     backed_scan,
     check_inertia_nested,
     check_stability_nested,
     didb_grid,
+    didb_simulate_windows,
     draw_delay_enumerated,
 )
 
@@ -114,6 +116,11 @@ aligned_delays = st.builds(
 @given(aligned_signals, aligned_delays)
 def test_didb_matches_grid_recursion(i, p):
     assert didb_simulate(i, p) == didb_grid(i, p.d_r, p.d_f, Fraction(1, 8))
+
+
+@given(signals(max_points=10), det_params())
+def test_didb_simulate_matches_window_oracle(i, p):
+    assert didb_simulate(i, p) == didb_simulate_windows(i, p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +322,13 @@ def test_trace_times_and_states(i, o):
         prev_state, prev_time = e.state, e.time
 
 
+@given(signals(max_points=10), signals(max_points=10), det_params())
+def test_trace_matches_eval_oracle(i, o, p):
+    # shared switch times come from the pair (i, o) and from i's own output
+    for out in (o, didb_simulate(i, p)):
+        assert automaton_trace(i, out) == automaton_trace_eval(i, out)
+
+
 def test_automaton_state_invariant():
     assert AutomatonState(1, 1).stable
     assert not AutomatonState(1, 0).stable
@@ -364,7 +378,7 @@ def test_inertia_matches_nested_oracle(i, p):
 @given(signals(max_points=10), st.lists(fractions_st, max_size=8), st.fractions(min_value=Fraction(1, 8), max_value=4))
 def test_unbacked_matches_scan(x, edges, d):
     edges = sorted(edges)
-    for runs in (list(one_set(x)), list(one_set(~x))):
+    for runs in ([(iv.lo, iv.hi) for iv in one_set(x)], [(iv.lo, iv.hi) for iv in one_set(~x)]):
         assert _unbacked(edges, runs, d) == [t for t in edges if not backed_scan(t, runs, d)]
 
 

@@ -1,7 +1,8 @@
 """The package's modules form a stack: each imports only the layers below
-it, and only at module level."""
+it, and only at module level. The package re-exports every library name."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import bsig
@@ -46,3 +47,17 @@ def test_imports_at_module_level():
             assert id(node) in top_level, (
                 f"{name} imports {target} inside a function (line {node.lineno})"
             )
+
+
+def test_exports_resolve_and_are_re_exported():
+    exported = set(bsig.__all__)
+    assert len(exported) == len(bsig.__all__), "duplicate name in bsig.__all__"
+    for name in bsig.__all__:
+        assert hasattr(bsig, name), f"bsig.__all__ names missing {name!r}"
+    for layer in LAYERS[:-1]:  # cli is the front end, not part of the library API
+        module = importlib.import_module(f"bsig.{layer}")
+        names = getattr(module, "__all__", [])
+        assert len(set(names)) == len(names), f"duplicate name in bsig.{layer}.__all__"
+        for name in names:
+            assert hasattr(module, name), f"bsig.{layer}.__all__ names missing {name!r}"
+            assert name in exported, f"bsig does not re-export {layer}.{name}"

@@ -17,7 +17,6 @@ from bsig import (
     difference_set,
     from_changes,
     indicator,
-    interval,
     is_signal,
     left_limit,
     leq,
@@ -77,11 +76,11 @@ def test_as_time_accepts_literals_at_the_digit_limit():
 
 def test_interval_validation():
     with pytest.raises(ConstructionError):
-        interval(1, True, 0, True)  # empty
+        Interval(Fraction(1), True, Fraction(0), True)  # empty
     with pytest.raises(ConstructionError):
-        interval(1, True, 1, False)  # degenerate must be closed
+        Interval(Fraction(1), True, Fraction(1), False)  # degenerate must be closed
     with pytest.raises(ConstructionError):
-        interval(None, True, 0, True)  # unbounded end cannot be closed
+        Interval(None, True, Fraction(0), True)  # unbounded end cannot be closed
     assert point_interval("1/2").degenerate
 
 
@@ -171,7 +170,13 @@ def test_interval_set_maximal_and_sorted(s):
 
 
 @given(touching_intervals())
-@example([interval(1, True, 2, False), interval(0, False, 1, False), interval(2, False, 3, True)])
+@example(
+    [
+        Interval(Fraction(1), True, Fraction(2), False),
+        Interval(Fraction(0), False, Fraction(1), False),
+        Interval(Fraction(2), False, Fraction(3), True),
+    ]
+)
 def test_indicator_membership_on_raw_intervals(ivs):
     f = indicator(IntervalSet(tuple(ivs)))
     for t in _probes([ivs]):
@@ -180,11 +185,11 @@ def test_indicator_membership_on_raw_intervals(ivs):
 
 
 def test_union_merges_adjacent():
-    a = indicator(IntervalSet((interval(0, False, 1, False),)))
-    b = indicator(IntervalSet((interval(1, True, 2, True),)))
+    a = indicator(IntervalSet((Interval(Fraction(0), False, Fraction(1), False),)))
+    b = indicator(IntervalSet((Interval(Fraction(1), True, Fraction(2), True),)))
     assert str(one_set(or_(a, b))) == "(0, 2]"
     # open-open at the same point does not merge: 1 is missing
-    c = indicator(IntervalSet((interval(1, False, 2, False),)))
+    c = indicator(IntervalSet((Interval(Fraction(1), False, Fraction(2), False),)))
     assert len(one_set(or_(a, c))) == 2
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsig import (
-    BsigDocument,
     DelayParams,
     FuzzConfig,
     GenConfig,
@@ -57,6 +56,8 @@ def test_parse_errors_carry_line_numbers():
         ("2 1\n2 0", 2),
         ("-1 1", 1),
         ("# bsig two", 1),
+        ("# bsig 2", 1),
+        ("0 1\n# bsig -3", 2),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as exc:
@@ -76,23 +77,10 @@ def test_round_trip_bit_exact(x):
     assert parse_bsig(write_bsig(x)) == x
 
 
-def test_document_fields_and_name_round_trip():
-    doc = BsigDocument.from_signal(chi(("1/3", 1)), name="w")
-    assert doc.version == 1 and doc.name == "w"
-    assert doc.entries == ((Fraction(1, 3), 1),)
-    back = BsigDocument.parse(doc.to_text())
-    assert back == doc and back.to_signal() == chi(("1/3", 1))
-
-
-def test_document_validation():
-    with pytest.raises(ParameterError):
-        BsigDocument(((Fraction(1), 2),))
-    with pytest.raises(ParameterError):
-        BsigDocument(((Fraction(2), 1), (Fraction(1), 0)))
-    with pytest.raises(ParameterError):
-        BsigDocument(((Fraction(-1), 1),))
-    with pytest.raises(ParameterError):
-        BsigDocument(((0.5, 1),))
+@pytest.mark.parametrize("name", ["a\n0 1", "a\nb", "a\r", "a\u2028b"])
+def test_write_bsig_rejects_multiline_name(name):
+    with pytest.raises(ParameterError, match="line break"):
+        write_bsig(from_changes([(1, 1)]), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +257,10 @@ def test_parse_report_rejects_unknown_kind():
         ({"kind": "report", "condition": "4.1a", "verdict": "fail", "violations": [{}]}, "'witness'"),
         ([1], "JSON object"),
         ({"kind": "report", "condition": "4.1a", "verdict": 1, "violations": []}, "'verdict'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail",
+          "violations": [{"witness": "1", "lhs": 7, "rhs": 0, "clause": "c"}]}, "'lhs'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail",
+          "violations": [{"witness": "1", "lhs": 1, "rhs": True, "clause": "c"}]}, "'rhs'"),
     ],
 )
 def test_parse_report_names_malformed_field(doc, field):
