@@ -33,13 +33,11 @@ from .stepfn import (
     from_changes,
     left_limit,
     not_,
-    one_set,
     or_,
     pick_point,
     require_signal,
     right_continuous_runs,
     semi_derivatives,
-    switch_points,
     violation_set,
     window,
     xor,
@@ -178,15 +176,6 @@ def _eq_clause(clause: str, lhs: StepFn, rhs: StepFn) -> list[Violation]:
     return out
 
 
-def _null_before(clause: str, o: StepFn, bound: Fraction) -> list[Violation]:
-    """Violations of: o(t) = 0 for all t in [0, bound)."""
-    region = from_changes([(Fraction(0), 1), (bound, 0)])
-    return [
-        Violation(pick_point(iv), 1, 0, clause)
-        for iv in one_set(and_(o, region))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Deterministic buffer
 # ---------------------------------------------------------------------------
@@ -248,7 +237,7 @@ def didb_verify(
     prev = left_limit(o)
     wr, wf = window("all", i, p.d_r, "co"), window("all", not_(i), p.d_f, "co")
     enables = and_(not_(prev), wr), and_(prev, wf)
-    init = _null_before("init: output not null before rise delay", o, p.d_r)
+    init = _leq_clause("init: output not null before rise delay", o, from_changes([(p.d_r, 1)]))
     if form != "all":
         return _report(f"4.3{form}", init + _didb_clauses(form, o, prev, wr, wf, *enables))
 
@@ -329,7 +318,9 @@ def nidb_verify(i: StepFn, o: StepFn, p: DelayParams, form: str = "a") -> Report
     fall_max = and_(prev, window("all", not_i, p.d_f_max, "co"))
     fall_min = and_(prev, window("all", not_i, p.d_f_min, "co"))
 
-    violations = _null_before("init: output not null before d_r_min", o, p.d_r_min)
+    violations = _leq_clause(
+        "init: output not null before d_r_min", o, from_changes([(p.d_r_min, 1)])
+    )
     if form == "a":
         # the semi-derivatives of o, sharing its left limit
         rise_o, fall_o = and_(not_prev, o), and_(prev, not_(o))
@@ -472,7 +463,7 @@ def automaton_trace(i: StepFn, o: StepFn) -> list[TraceEvent]:
     require_signal(i, "input")
     require_signal(o, "output")
     # every switch flips its signal's bit, so every switch time is an event
-    it, ot = switch_points(i), switch_points(o)
+    it, ot = i.times, o.times
     a = b = j = k = 0
     events: list[TraceEvent] = []
     while j < len(it) or k < len(ot):
@@ -498,7 +489,7 @@ def check_stability(i: StepFn, o: StepFn, p: DelayParams) -> Report:
         raise ParameterError(f"expected delay parameters, got {p!r}")
     require_signal(i, "input")
     require_signal(o, "output")
-    o_switches = switch_points(o)
+    o_switches = o.times  # a signal's breakpoints are its switches
     n = len(o_switches)
     k = 0  # first switch of o after the current run's lo; lo never decreases
     violations: list[Violation] = []
@@ -539,8 +530,7 @@ def check_inertia(i: StepFn, p: Union[DetParams, DelayParams]) -> Report:
     1-run is shorter than d_r the output must be constant 0.
     """
     p = _det_params(p)
-    require_signal(i, "input")
-    o_runs = right_continuous_runs(didb_simulate(i, p))[1:]
+    o_runs = right_continuous_runs(didb_simulate(i, p))[1:]  # didb_simulate checks i
     rises = [start for start, _, value in o_runs if value == 1]
     falls = [start for start, _, value in o_runs if value == 0]
     runs = right_continuous_runs(i)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-Time = Fraction
 TimeLike = Union[Fraction, int, str]
 
 
@@ -149,11 +148,6 @@ class Interval:
         return f"{'[' if self.lo_closed else '('}{lo}, {hi}{']' if self.hi_closed else ')'}"
 
 
-def point_interval(t) -> Interval:
-    t = as_time(t)
-    return Interval(t, True, t, True)
-
-
 def parse_interval(text: str) -> Interval:
     """Inverse of Interval.__str__ ('[0, 1)', '(-inf, 3]', '[2, 2]')."""
     s = text.strip()
@@ -273,34 +267,6 @@ class StepFn:
     def __str__(self) -> str:
         return f"ones: {one_set(self)}"
 
-    # piece iterator: (start_slot, end_slot, value) covering the whole line
-    def _pieces(self):
-        if not self.times:
-            yield _MINUS_INF, _PLUS_INF, self.before
-            return
-        yield _MINUS_INF, _slot(self.times[0], -1), self.before
-        n = len(self.times)
-        for k in range(n):
-            u = self.times[k]
-            yield _slot(u, 0), _slot(u, 0), self.point_values[k]
-            if k + 1 < n:
-                yield _slot(u, 1), _slot(self.times[k + 1], -1), self.interval_values[k]
-            else:
-                yield _slot(u, 1), _PLUS_INF, self.interval_values[k]
-
-    # sugar used internally and by tests; the public op is pointwise()
-    def __invert__(self) -> "StepFn":
-        return pointwise("not", self)
-
-    def __and__(self, other: "StepFn") -> "StepFn":
-        return pointwise("and", self, other)
-
-    def __or__(self, other: "StepFn") -> "StepFn":
-        return pointwise("or", self, other)
-
-    def __xor__(self, other: "StepFn") -> "StepFn":
-        return pointwise("xor", self, other)
-
 
 def canonical(before, pieces: Iterable[tuple]) -> StepFn:
     """Build the canonical StepFn for `before` plus (time, point, interval)
@@ -339,32 +305,11 @@ def from_changes(changes: Iterable[tuple], before=0) -> StepFn:
     return canonical(before, [(t, b, b) for t, b in changes])
 
 
-# truth tables indexed by 2*a + b ('not' ignores b)
-_BIT_OPS = {
-    "not": (1, 1, 0, 0),
-    "and": (0, 0, 0, 1),
-    "or": (0, 1, 1, 1),
-    "xor": (0, 1, 1, 0),
-    "leq": (1, 1, 0, 1),  # pointwise implication a <= b
-}
-
-
-def pointwise(op: str, f: StepFn, g: Optional[StepFn] = None) -> StepFn:
-    if op not in _BIT_OPS:
-        raise ParameterError(f"unknown pointwise op {op!r}")
-    if op == "not":
-        if g is not None:
-            raise ParameterError("'not' takes a single operand")
-        # negation keeps every breakpoint essential, so f's times carry over
-        return StepFn(
-            1 - f.before,
-            f.times,
-            tuple(1 - v for v in f.point_values),
-            tuple(1 - w for w in f.interval_values),
-        )
-    if g is None:
-        raise ParameterError(f"{op!r} needs two operands")
-    return _merge(_BIT_OPS[op], f, g)
+# truth tables indexed by 2*a + b
+_AND = (0, 0, 0, 1)
+_OR = (0, 1, 1, 1)
+_XOR = (0, 1, 1, 0)
+_AND_NOT = (0, 0, 1, 0)  # a and not b: where a <= b fails
 
 
 def _merge(table: tuple, f: StepFn, g: StepFn) -> StepFn:
@@ -422,19 +367,25 @@ def _merge(table: tuple, f: StepFn, g: StepFn) -> StepFn:
 
 
 def not_(f: StepFn) -> StepFn:
-    return pointwise("not", f)
+    # negation keeps every breakpoint essential, so f's times carry over
+    return StepFn(
+        1 - f.before,
+        f.times,
+        tuple(1 - v for v in f.point_values),
+        tuple(1 - w for w in f.interval_values),
+    )
 
 
 def and_(f: StepFn, g: StepFn) -> StepFn:
-    return pointwise("and", f, g)
+    return _merge(_AND, f, g)
 
 
 def or_(f: StepFn, g: StepFn) -> StepFn:
-    return pointwise("or", f, g)
+    return _merge(_OR, f, g)
 
 
 def xor(f: StepFn, g: StepFn) -> StepFn:
-    return pointwise("xor", f, g)
+    return _merge(_XOR, f, g)
 
 
 def shift(f: StepFn, delta: TimeLike) -> StepFn:
@@ -485,8 +436,9 @@ def semi_derivatives(f: StepFn) -> tuple[StepFn, StepFn]:
 # One-sets and indicators
 #
 # Every set operation of the kernel goes through three sweeps over runs:
-# _ones reads the 1-runs off a StepFn, _union merges start-sorted runs and
-# _from_ones turns maximal runs back into the canonical StepFn.
+# _ones reads the maximal 1-runs off a StepFn, _union merges start-sorted
+# runs that may overlap and _from_ones turns maximal runs back into the
+# canonical StepFn.
 # ---------------------------------------------------------------------------
 
 
@@ -506,7 +458,30 @@ def _union(runs) -> list[tuple]:
 
 
 def _ones(f: StepFn) -> list[tuple]:
-    return _union((s, e) for s, e, value in f._pieces() if value == 1)
+    """The maximal 1-runs of f, in order, read straight off its fields.
+
+    The pieces (-inf, u_1), [u_1, u_1], (u_1, u_2), ... tile the line in
+    order, so two 1-pieces touch exactly when they are consecutive: a run
+    opens at the first 1-piece after a 0-piece and closes at the next 0-piece.
+    """
+    runs: list[tuple] = []
+    start = _MINUS_INF if f.before else None
+    for t, v, w in zip(f.times, f.point_values, f.interval_values):
+        if v:
+            if start is None:
+                start = (1, t, 0)
+        elif start is not None:
+            runs.append((start, (1, t, -1)))
+            start = None
+        if w:
+            if start is None:
+                start = (1, t, 1)
+        elif start is not None:  # the run ends with the point [t, t]
+            runs.append((start, (1, t, 0)))
+            start = None
+    if start is not None:
+        runs.append((start, _PLUS_INF))
+    return runs
 
 
 def _from_ones(runs) -> StepFn:
@@ -611,17 +586,6 @@ def any_over_offsets(
 # Ordering and signal predicates
 # ---------------------------------------------------------------------------
 
-_NONNEG = from_changes([(0, 1)])
-
-
-@dataclass(frozen=True)
-class LeqResult:
-    ok: bool
-    witness: Optional[Fraction] = None
-    witness_interval: Optional[Interval] = None
-    lhs: Optional[int] = None
-    rhs: Optional[int] = None
-
 
 def pick_point(iv: Interval) -> Fraction:
     """A concrete witness inside an interval: closed lower end itself,
@@ -635,49 +599,43 @@ def pick_point(iv: Interval) -> Fraction:
     return (iv.lo + iv.hi) / 2
 
 
+_ZERO = _slot(Fraction(0), 0)
+
+
+def _nonneg_one_set(f: StepFn) -> IntervalSet:
+    """one_set(f) restricted to t >= 0: the runs are clipped at 0."""
+    return IntervalSet(
+        tuple(_interval_from_slots(max(s, _ZERO), e) for s, e in _ones(f) if e >= _ZERO)
+    )
+
+
 def violation_set(lhs: StepFn, rhs: StepFn) -> IntervalSet:
-    """Where lhs(t) <= rhs(t) fails, restricted to t >= 0."""
-    return one_set(and_(and_(lhs, not_(rhs)), _NONNEG))
+    """The maximal regions where lhs(t) <= rhs(t) fails, restricted to t >= 0."""
+    return _nonneg_one_set(_merge(_AND_NOT, lhs, rhs))
 
 
 def difference_set(f: StepFn, g: StepFn) -> IntervalSet:
-    """Where f(t) != g(t), restricted to t >= 0."""
-    return one_set(and_(xor(f, g), _NONNEG))
-
-
-def leq(f: StepFn, g: StepFn) -> LeqResult:
-    """Decide f(t) <= g(t) for every t >= 0, exactly.
-
-    On failure the least witness is reported: the violating interval's lower
-    end when closed, otherwise an interior point (midpoint, or lo+1 when
-    unbounded).
-    """
-    bad = violation_set(f, g)
-    if bad.is_empty:
-        return LeqResult(True)
-    first = bad.intervals[0]
-    w = pick_point(first)
-    return LeqResult(False, w, first, f.eval(w), g.eval(w))
-
-
-def is_signal(f: StepFn) -> tuple[bool, Optional[str]]:
-    """A signal is null before 0, right-continuous, piecewise constant with
-    finitely many breakpoints. Returns (ok, reason of first violated clause).
-    """
-    if f.before != 0:
-        return False, "value 1 before the first breakpoint"
-    for t, v, w in zip(f.times, f.point_values, f.interval_values):
-        if t < 0:
-            return False, f"breakpoint at {t} is negative"
-        if v != w:
-            return False, f"not right-continuous at {t}"
-    return True, None
+    """The maximal regions where f(t) != g(t), restricted to t >= 0."""
+    return _nonneg_one_set(_merge(_XOR, f, g))
 
 
 def require_signal(f: StepFn, role: str = "input") -> None:
-    ok, reason = is_signal(f)
-    if not ok:
-        raise DomainError(f"{role} is not a signal: {reason}")
+    """Raise DomainError naming the first violated clause unless f is a
+    signal: null before 0, right-continuous, piecewise constant with finitely
+    many breakpoints."""
+    if f.before != 0:
+        reason = "value 1 before the first breakpoint"
+    elif f.times and f.times[0] < 0:  # times increase: only the first can be negative
+        reason = f"breakpoint at {f.times[0]} is negative"
+    elif f.point_values != f.interval_values:
+        reason = f"not right-continuous at {_first_jump(f)}"
+    else:
+        return
+    raise DomainError(f"{role} is not a signal: {reason}")
+
+
+def _first_jump(f: StepFn) -> Fraction:
+    return next(t for t, v, w in zip(f.times, f.point_values, f.interval_values) if v != w)
 
 
 def switch_points(x: StepFn) -> tuple[Fraction, ...]:
@@ -695,6 +653,5 @@ def right_continuous_runs(f: StepFn) -> list[tuple[Optional[Fraction], Optional[
     (start, end, value), start None for the initial unbounded run and end
     None for the final one."""
     if f.point_values != f.interval_values:
-        t = next(t for t, v, w in zip(f.times, f.point_values, f.interval_values) if v != w)
-        raise DomainError(f"not right-continuous at {t}")
+        raise DomainError(f"not right-continuous at {_first_jump(f)}")
     return list(zip((None, *f.times), (*f.times, None), (f.before, *f.interval_values)))

@@ -205,13 +205,13 @@ def _report_doc(r: Report) -> dict:
 
 def _field(doc, key: str, kind: type, where: str):
     """doc[key] checked to be a `kind`; a malformed document raises
-    ParameterError naming the field."""
+    ParameterError naming the field. JSON booleans are not integers here."""
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ParameterError(f"{where}: field {key!r} is missing")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParameterError(
             f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
         )
@@ -221,7 +221,7 @@ def _field(doc, key: str, kind: type, where: str):
 def _bit_field(doc, key: str, where: str) -> int:
     """doc[key] checked to be the JSON integer 0 or 1."""
     value = _field(doc, key, int, where)
-    if isinstance(value, bool) or value not in (0, 1):
+    if value not in (0, 1):
         raise ParameterError(f"{where}: field {key!r} must be 0 or 1, got {json.dumps(value)}")
     return value
 
@@ -348,9 +348,12 @@ def _fuzz_from_doc(doc: dict):
                 _field(ref, "detail", str, where),
             )
         )
+    confirmations = _field(doc, "confirmations", dict, "fuzz report")
+    for claim in confirmations:
+        _field(confirmations, claim, int, "fuzz report confirmations")
     return FuzzReport(
         config=config,
-        confirmations=dict(_field(doc, "confirmations", dict, "fuzz report")),
+        confirmations=dict(confirmations),
         refutations=tuple(refutations),
         strictness_examples=_field(doc, "strictness_examples", int, "fuzz report"),
     )

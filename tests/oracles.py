@@ -10,11 +10,13 @@ from fractions import Fraction
 
 from bsig import (
     AutomatonState,
+    IntervalSet,
     Report,
     StepFn,
     TraceEvent,
     Violation,
     canonical,
+    and_,
     constant,
     from_changes,
     not_,
@@ -24,6 +26,15 @@ from bsig import (
     semi_derivatives,
     switch_points,
     window,
+    xor,
+)
+from bsig.stepfn import (
+    _MINUS_INF,
+    _PLUS_INF,
+    _from_ones,
+    _interval_from_slots,
+    _slot,
+    _union,
 )
 
 # ---------------------------------------------------------------------------
@@ -393,3 +404,58 @@ def automaton_trace_eval(i: StepFn, o: StepFn) -> list:
             events.append(TraceEvent(t, state))
             prev = state
     return events
+
+
+def pieces(f: StepFn):
+    """(start_slot, end_slot, value) for every piece of f, covering the line
+    in order: (-inf, u_1), [u_1, u_1], (u_1, u_2), ..."""
+    if not f.times:
+        yield _MINUS_INF, _PLUS_INF, f.before
+        return
+    yield _MINUS_INF, _slot(f.times[0], -1), f.before
+    n = len(f.times)
+    for k in range(n):
+        u = f.times[k]
+        yield _slot(u, 0), _slot(u, 0), f.point_values[k]
+        if k + 1 < n:
+            yield _slot(u, 1), _slot(f.times[k + 1], -1), f.interval_values[k]
+        else:
+            yield _slot(u, 1), _PLUS_INF, f.interval_values[k]
+
+
+def ones_pieces(f: StepFn) -> list:
+    """The 1-runs of f by merging its 1-pieces with the adjacency-aware union."""
+    return _union((s, e) for s, e, value in pieces(f) if value == 1)
+
+
+def one_set_pieces(f: StepFn) -> IntervalSet:
+    return IntervalSet(tuple(_interval_from_slots(s, e) for s, e in ones_pieces(f)))
+
+
+NONNEG = from_changes([(0, 1)])
+
+
+def violation_set_ops(lhs: StepFn, rhs: StepFn) -> IntervalSet:
+    """violation_set as three kernel ops masked by the indicator of t >= 0."""
+    return one_set_pieces(and_(and_(lhs, not_(rhs)), NONNEG))
+
+
+def difference_set_ops(f: StepFn, g: StepFn) -> IntervalSet:
+    return one_set_pieces(and_(xor(f, g), NONNEG))
+
+
+def window_pieces(mode: str, f: StepFn, d: Fraction, kind: str) -> StepFn:
+    """window over the merged 1-pieces: 'any' dilates each 1-run by the
+    offsets <0, d> with the kind's closures, 'all' is the dual."""
+    if mode == "all":
+        return not_(window_pieces("any", not_(f), d, kind))
+    lo_closed, hi_closed = _WINDOW_SHAPES[kind]
+    a_eps, b_eps = (0 if hi_closed else 1), (0 if lo_closed else -1)
+    sums = [
+        (
+            s if s == _MINUS_INF else (1, s[1], max(s[2], a_eps)),
+            e if e == _PLUS_INF else (1, e[1] + d, min(e[2], b_eps)),
+        )
+        for s, e in ones_pieces(f)
+    ]
+    return _from_ones(_union(sums))

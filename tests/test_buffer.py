@@ -22,10 +22,11 @@ from bsig import (
     didb_simulate,
     didb_verify,
     from_changes,
-    is_signal,
     nidb_sample,
     nidb_verify,
+    not_,
     one_set,
+    require_signal,
     switch_points,
 )
 from bsig.buffer import _draw_delay, _unbacked
@@ -96,7 +97,7 @@ def test_didb_simulate_rejects_non_signal():
 @given(signals(), det_params())
 def test_didb_output_is_conformant_signal(i, p):
     o = didb_simulate(i, p)
-    assert is_signal(o)[0]
+    require_signal(o, "output")
     assert didb_verify(i, o, p, "all").passed
 
 
@@ -378,7 +379,7 @@ def test_inertia_matches_nested_oracle(i, p):
 @given(signals(max_points=10), st.lists(fractions_st, max_size=8), st.fractions(min_value=Fraction(1, 8), max_value=4))
 def test_unbacked_matches_scan(x, edges, d):
     edges = sorted(edges)
-    for runs in ([(iv.lo, iv.hi) for iv in one_set(x)], [(iv.lo, iv.hi) for iv in one_set(~x)]):
+    for runs in ([(iv.lo, iv.hi) for iv in one_set(x)], [(iv.lo, iv.hi) for iv in one_set(not_(x))]):
         assert _unbacked(edges, runs, d) == [t for t in edges if not backed_scan(t, runs, d)]
 
 

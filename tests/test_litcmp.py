@@ -13,7 +13,6 @@ from bsig import (
     check_fixture,
     constant,
     counterexample,
-    fixture_ok,
     fuzz_claims,
     lit_verify,
 )
@@ -95,12 +94,13 @@ def test_fixtures_reproduce():
         assert fx.name == cid
         reports = check_fixture(fx)
         assert set(reports) == set(fx.expected)
-        assert fixture_ok(fx)
+        assert {k: r.verdict for k, r in reports.items()} == fx.expected
 
 
 def test_fixture_with_other_parameters():
     for p in (DelayParams(1, 3, 1, 2), DelayParams("1/2", "5/2", 1, 1)):
-        assert fixture_ok(counterexample("5.3", p))
+        fx = counterexample("5.3", p)
+        assert {k: r.verdict for k, r in check_fixture(fx).items()} == fx.expected
 
 
 def test_fixture_witness_is_max_rise_delay():

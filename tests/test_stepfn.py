@@ -17,25 +17,33 @@ from bsig import (
     difference_set,
     from_changes,
     indicator,
-    is_signal,
     left_limit,
-    leq,
     not_,
     one_set,
     or_,
     parse_interval,
     pick_point,
-    point_interval,
-    pointwise,
     require_signal,
     right_continuous_runs,
     semi_derivatives,
     shift,
     switch_points,
+    violation_set,
+    window,
     xor,
 )
-from conftest import bits_st, chi, fractions_st, signals, stepfns
-from oracles import left_limit_at, left_limit_pieces, pointwise_eval, probe_grid
+from conftest import bits_st, chi, fractions_st, pos_fractions_st, signals, stepfns
+from oracles import (
+    NONNEG,
+    difference_set_ops,
+    left_limit_at,
+    left_limit_pieces,
+    one_set_pieces,
+    pointwise_eval,
+    probe_grid,
+    violation_set_ops,
+    window_pieces,
+)
 
 # ---------------------------------------------------------------------------
 # Times
@@ -81,7 +89,7 @@ def test_interval_validation():
         Interval(Fraction(1), True, Fraction(1), False)  # degenerate must be closed
     with pytest.raises(ConstructionError):
         Interval(None, True, Fraction(0), True)  # unbounded end cannot be closed
-    assert point_interval("1/2").degenerate
+    assert Interval(Fraction(1, 2), True, Fraction(1, 2), True).degenerate
 
 
 @pytest.mark.parametrize(
@@ -132,6 +140,11 @@ def touching_intervals(draw):
 
 def _member(ivs, t):
     return any(iv.contains(t) for iv in ivs)
+
+
+def _point(t):
+    t = Fraction(t)
+    return Interval(t, True, t, True)
 
 
 def _probes(sets):
@@ -239,7 +252,8 @@ def test_pointwise_ops_match_truth_tables(f, g):
         assert and_(f, g).eval(t) == (f.eval(t) & g.eval(t))
         assert or_(f, g).eval(t) == (f.eval(t) | g.eval(t))
         assert xor(f, g).eval(t) == (f.eval(t) ^ g.eval(t))
-        assert pointwise("leq", f, g).eval(t) == ((1 - f.eval(t)) | g.eval(t))
+        # violation_set holds the t >= 0 where the implication f <= g fails
+        assert _member(violation_set(f, g), t) == (t >= 0 and not ((1 - f.eval(t)) | g.eval(t)))
 
 
 @st.composite
@@ -258,8 +272,12 @@ def overlapping_pairs(draw):
 @given(overlapping_pairs())
 def test_merge_kernel_matches_eval_oracle(pair):
     f, g = pair
-    for op in ("and", "or", "xor", "leq"):
-        assert pointwise(op, f, g) == pointwise_eval(op, f, g)
+    assert and_(f, g) == pointwise_eval("and", f, g)
+    assert or_(f, g) == pointwise_eval("or", f, g)
+    assert xor(f, g) == pointwise_eval("xor", f, g)
+    # violation_set's lhs-and-not-rhs merge is the complement of f <= g
+    fails = pointwise_eval("not", pointwise_eval("leq", f, g))
+    assert violation_set(f, g) == one_set_pieces(pointwise_eval("and", fails, NONNEG))
     assert not_(f) == pointwise_eval("not", f)
     assert left_limit(f) == left_limit_pieces(f)
 
@@ -275,11 +293,11 @@ def test_boolean_laws(f, g):
     assert or_(f, not_(f)) == constant(1)
 
 
-def test_operator_sugar(x_210):
-    assert ~x_210 == not_(x_210)
-    assert (x_210 & x_210) == x_210
-    assert (x_210 | ~x_210) == constant(1)
-    assert (x_210 ^ x_210) == constant(0)
+def test_named_ops_on_example(x_210):
+    assert not_(x_210) == StepFn(1, x_210.times, (0, 1, 0, 1), (0, 1, 0, 1))
+    assert and_(x_210, x_210) == x_210
+    assert or_(x_210, not_(x_210)) == constant(1)
+    assert xor(x_210, x_210) == constant(0)
 
 
 @given(stepfns(), fractions_st)
@@ -321,8 +339,8 @@ def test_derivative_frozen(x_210):
     times = tuple(Fraction(t) for t in (0, 1, 2, 3))
     assert derivative(x_210) == StepFn(0, times, (1, 1, 1, 1), (0, 0, 0, 0))
     rise, fall = semi_derivatives(x_210)
-    assert one_set(rise) == IntervalSet((point_interval(0), point_interval(2)))
-    assert one_set(fall) == IntervalSet((point_interval(1), point_interval(3)))
+    assert one_set(rise) == IntervalSet((_point(0), _point(2)))
+    assert one_set(fall) == IntervalSet((_point(1), _point(3)))
 
 
 @given(stepfns())
@@ -336,7 +354,7 @@ def test_derivative_decomposition(f):
 def test_switch_points_support(x):
     pts = switch_points(x)
     assert list(pts) == sorted(pts)
-    assert one_set(derivative(x)) == IntervalSet(tuple(point_interval(t) for t in pts))
+    assert one_set(derivative(x)) == IntervalSet(tuple(_point(t) for t in pts))
     # each listed point really is a value change
     for t in pts:
         assert left_limit_at(x, t) != x.eval(t)
@@ -357,6 +375,31 @@ def test_one_set_inverts_indicator(s):
     assert one_set(indicator(s)) == s
 
 
+@st.composite
+def around_zero(draw):
+    """General StepFns whose breakpoints often include 0, so that runs end
+    open or closed at 0 or start open there."""
+    times = draw(st.sets(fractions_st, max_size=6))
+    if draw(st.booleans()):
+        times.add(Fraction(0))
+    return canonical(draw(bits_st), [(t, draw(bits_st), draw(bits_st)) for t in sorted(times)])
+
+
+@given(around_zero(), around_zero(), pos_fractions_st)
+@example(canonical(1, [(0, 0, 0)]), constant(0), Fraction(1))  # ends open at 0
+@example(canonical(1, [(0, 1, 0)]), constant(0), Fraction(1))  # ends closed at 0
+@example(canonical(0, [(0, 0, 1)]), constant(0), Fraction(1))  # starts open at 0
+@example(canonical(0, [(0, 1, 0), (1, 1, 0)]), constant(0), Fraction(1, 2))  # isolated points
+@example(canonical(1, [(-2, 0, 1), (-1, 1, 0), (3, 0, 1)]), canonical(0, [(-1, 1, 1)]), Fraction(2))
+def test_run_reader_matches_pieces_oracle(f, g, d):
+    assert one_set(f) == one_set_pieces(f)
+    assert violation_set(f, g) == violation_set_ops(f, g)
+    assert difference_set(f, g) == difference_set_ops(f, g)
+    for mode in ("any", "all"):
+        for kind in ("co", "oo", "oc"):
+            assert window(mode, f, d, kind) == window_pieces(mode, f, d, kind)
+
+
 def test_one_set_shapes():
     assert str(one_set(chi((0, 1), (5, 0)))) == "[0, 5)"
     assert str(one_set(constant(1))) == "(-inf, inf)"
@@ -371,19 +414,20 @@ def test_one_set_shapes():
 @given(stepfns(), stepfns())
 @example(StepFn(0, (Fraction(-6), Fraction(21, 2)), (1, 0), (0, 1)), constant(0))
 @example(StepFn(0, (Fraction(-3), Fraction(66, 5)), (1, 0), (0, 1)), constant(0))
-def test_leq_matches_pointwise(f, g):
-    res = leq(f, g)
+def test_violation_set_matches_pointwise(f, g):
+    bad = violation_set(f, g)
     grid = [t for t in probe_grid([f, g]) if t >= 0]
     holds = all(f.eval(t) <= g.eval(t) for t in grid)
-    assert res.ok == holds
-    if not res.ok:
-        w = res.witness
+    assert bad.is_empty == holds
+    if not bad.is_empty:
+        first = bad.intervals[0]
+        w = pick_point(first)
         assert w >= 0 and f.eval(w) == 1 and g.eval(w) == 0
-        assert res.witness_interval.contains(w)
-        # least: no violation strictly before the reported interval
+        assert first.contains(w)
+        # least: no violation strictly before the first interval
         for t in grid:
             if f.eval(t) == 1 and g.eval(t) == 0:
-                assert not _strictly_before(t, res.witness_interval)
+                assert not _strictly_before(t, first)
 
 
 def _strictly_before(t, iv):
@@ -392,9 +436,9 @@ def _strictly_before(t, iv):
     return t < iv.lo or (t == iv.lo and not iv.lo_closed)
 
 
-def test_leq_ignores_negative_times():
+def test_violation_set_ignores_negative_times():
     f = canonical(1, [(Fraction(0), 0, 0)])  # 1 only before 0
-    assert leq(f, constant(0)).ok
+    assert violation_set(f, constant(0)).is_empty
 
 
 @given(interval_sets())
@@ -408,15 +452,15 @@ def test_pick_point_membership(s):
 # ---------------------------------------------------------------------------
 
 
-def test_is_signal_clauses():
-    assert is_signal(chi((0, 1), (3, 0)))[0]
-    assert not is_signal(constant(1))[0]
-    assert not is_signal(chi((-1, 1)))[0]
-    assert not is_signal(canonical(0, [(Fraction(1), 1, 0)]))[0]
-    with pytest.raises(DomainError):
+def test_require_signal_clauses():
+    require_signal(chi((0, 1), (3, 0)))
+    with pytest.raises(DomainError, match="input is not a signal: value 1 before the first breakpoint"):
         require_signal(constant(1))
-    constant_ok, _ = is_signal(constant(0))
-    assert constant_ok
+    with pytest.raises(DomainError, match="breakpoint at -1 is negative"):
+        require_signal(chi((-1, 1)))
+    with pytest.raises(DomainError, match="output is not a signal: not right-continuous at 1"):
+        require_signal(canonical(0, [(Fraction(1), 1, 0)]), "output")
+    require_signal(constant(0))
 
 
 def test_runs_partition_line(x_210):

@@ -19,11 +19,11 @@ from bsig import (
     export_vcd,
     from_changes,
     fuzz_claims,
-    is_signal,
     nidb_verify,
     parse_bsig,
     parse_report,
     random_signal,
+    require_signal,
     summarize_report,
     switch_points,
     write_bsig,
@@ -185,7 +185,7 @@ genconfigs = st.builds(
 @given(genconfigs)
 def test_random_signal_invariants(cfg):
     x = random_signal(cfg)
-    assert is_signal(x)[0]
+    require_signal(x)
     pts = switch_points(x)
     assert len(pts) <= cfg.max_switches
     for t in pts:
@@ -269,7 +269,19 @@ def test_parse_report_names_malformed_field(doc, field):
 
 
 def test_parse_fuzz_report_names_malformed_field():
-    doc = json.loads(write_report(fuzz_claims(FuzzConfig(trials=2, seed=0))))
+    text = write_report(fuzz_claims(FuzzConfig(trials=2, seed=0)))
+    # JSON booleans are not counts, and every confirmation count is an integer
+    for edit, field in (
+        (lambda doc: doc["config"].update(trials=True), "'trials' must be int, got bool"),
+        (lambda doc: doc.update(strictness_examples=False), "'strictness_examples' must be int, got bool"),
+        (lambda doc: doc["confirmations"].update(x="y"), "confirmations: field 'x' must be int, got str"),
+        (lambda doc: doc["confirmations"].update(x=True), "confirmations: field 'x' must be int, got bool"),
+    ):
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(ParameterError, match=field):
+            parse_report(json.dumps(doc))
+    doc = json.loads(text)
     doc["refutations"] = [{"claim": "c", "name": "n", "i": "0 1\n", "o": "1 1\n", "p": ["1", "2", "1"]}]
     with pytest.raises(ParameterError, match="'p'"):
         parse_report(json.dumps(doc))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from bsig import (
     ParameterError,
+    and_,
     any_over_offsets,
     constant,
     derivative,
@@ -104,7 +105,7 @@ def test_window_monotone_in_width(f, d_small, extra, kind):
     wide = window("all", f, d_big, kind)
     narrow = window("all", f, d_small, kind)
     # a wider held requirement is harder: wide <= narrow everywhere
-    assert (wide & ~narrow) == constant(0)
+    assert and_(wide, not_(narrow)) == constant(0)
 
 
 @given(stepfns(), pos_fractions_st, st.sampled_from(KINDS))
@@ -117,11 +118,11 @@ def test_window_duality(f, d, kind):
 def test_held_window_vs_derivative_identity(i, d):
     # held-1 through [t-d, t) == arrived at 1 and no switch inside (t-d, t)
     quiet = not_(window("any", derivative(i), d, "oo"))
-    assert window("all", i, d, "co") == left_limit(i) & quiet
-    assert window("all", not_(i), d, "co") == not_(left_limit(i)) & quiet
+    assert window("all", i, d, "co") == and_(left_limit(i), quiet)
+    assert window("all", not_(i), d, "co") == and_(not_(left_limit(i)), quiet)
 
 
 def test_identity_concrete():
     i = chi((0, 1))
     assert str(one_set(window("all", i, 1, "co"))) == "[1, inf)"
-    assert str(one_set(left_limit(i) & not_(window("any", derivative(i), 1, "oo")))) == "[1, inf)"
+    assert str(one_set(and_(left_limit(i), not_(window("any", derivative(i), 1, "oo"))))) == "[1, inf)"
