@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from random import Random
 from typing import Callable, Optional, Union
 
@@ -25,12 +25,12 @@ from .stepfn import (
     Interval,
     ParameterError,
     StepFn,
+    _minkowski,
     and_,
     as_time,
     constant,
     derivative,
     difference_set,
-    from_changes,
     left_limit,
     not_,
     or_,
@@ -39,7 +39,6 @@ from .stepfn import (
     right_continuous_runs,
     semi_derivatives,
     violation_set,
-    window,
     xor,
 )
 
@@ -161,19 +160,85 @@ def _report(condition: str, violations: list[Violation]) -> Report:
     return Report(condition, "FAIL" if violations else "PASS", tuple(violations))
 
 
-def _leq_clause(clause: str, lhs: StepFn, rhs: StepFn) -> list[Violation]:
-    """All maximal regions where lhs <= rhs fails on t >= 0, one entry each."""
+def _leq_clause(clause: str, lhs: StepFn, rhs: StepFn, scale: int) -> list[Violation]:
+    """All maximal regions where lhs <= rhs fails on t >= 0, one entry each.
+    lhs and rhs run on ticks of 1/scale; the witnesses are times."""
     return [
-        Violation(pick_point(iv), 1, 0, clause) for iv in violation_set(lhs, rhs)
+        Violation(pick_point(_unscaled(iv, scale)), 1, 0, clause)
+        for iv in violation_set(lhs, rhs)
     ]
 
 
-def _eq_clause(clause: str, lhs: StepFn, rhs: StepFn) -> list[Violation]:
+def _eq_clause(clause: str, lhs: StepFn, rhs: StepFn, scale: int) -> list[Violation]:
     out = []
     for iv in difference_set(lhs, rhs):
-        w = pick_point(iv)
-        out.append(Violation(w, lhs.eval(w), rhs.eval(w), clause))
+        w = pick_point(_unscaled(iv, scale))
+        out.append(Violation(w, lhs.eval(w * scale), rhs.eval(w * scale), clause))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer ticks
+#
+# The clauses only compare and add times. Scaled by the lcm L of every
+# denominator in play, times become ints, which compare and add several
+# times faster than Fraction. A violation region is mapped back to exact
+# rationals before a witness is picked inside it, so reports never see a
+# tick. The cost of a tick grows with L's size, Fraction's does not: on
+# signals with one prime denominator per time, nidb_verify a on ticks ran
+# 1.3-1.7x faster than on Fraction at an 11k-bit L and 0.6x as fast at 25k
+# bits (2-vCPU Xeon, Python 3.11). Past _MAX_TICK_BITS L is 1 and the same
+# clauses run on the Fraction times.
+# ---------------------------------------------------------------------------
+
+_MAX_TICK_BITS = 12_000
+
+
+def _ticks(signals: tuple, delays: tuple) -> tuple[int, tuple, tuple]:
+    """(L, signals, delays) with every time multiplied by L, or unchanged
+    with L = 1 when L would have more than _MAX_TICK_BITS bits."""
+    denominators = {t.denominator for f in signals for t in f.times}
+    denominators.update(d.denominator for d in delays)
+    scale = 1
+    for q in denominators:
+        scale = lcm(scale, q)
+        if scale.bit_length() > _MAX_TICK_BITS:
+            return 1, signals, delays
+    step = {q: scale // q for q in denominators}
+    return (
+        scale,
+        tuple(
+            StepFn._of(
+                f.before,
+                tuple([t.numerator * step[t.denominator] for t in f.times]),
+                f.point_values,
+                f.interval_values,
+            )
+            for f in signals
+        ),
+        tuple(d.numerator * step[d.denominator] for d in delays),
+    )
+
+
+def _unscaled(iv: Interval, scale: int) -> Interval:
+    """A region on ticks of 1/scale as an interval of exact times."""
+    return Interval(
+        None if iv.lo is None else Fraction(iv.lo, scale),
+        iv.lo_closed,
+        None if iv.hi is None else Fraction(iv.hi, scale),
+        iv.hi_closed,
+    )
+
+
+def _rise_at(t) -> StepFn:
+    """The signal that is 0 before t and 1 from t on."""
+    return StepFn._of(0, (t,), (1,), (1,))
+
+
+def _held(f: StepFn, d) -> StepFn:
+    """window("all", f, d, "co") on a width that is already a valid time:
+    1 at t iff f is 1 throughout [t-d, t)."""
+    return not_(_minkowski(not_(f), -d, 0, True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +268,7 @@ def _run_walk(i: StepFn, delay: Callable[[int], Fraction]) -> StepFn:
             cur = value
     # each switch lands inside its own run, so times increase and every
     # breakpoint flips the value: the fields are already canonical
-    return StepFn(0, tuple(times), tuple(values), tuple(values))
+    return StepFn._of(0, tuple(times), tuple(values), tuple(values))
 
 
 def didb_simulate(i: StepFn, p: Union[DetParams, DelayParams]) -> StepFn:
@@ -234,14 +299,17 @@ def didb_verify(
     if form not in ("a", "b", "c", "d", "all"):
         raise ParameterError(f"unknown form {form!r}")
 
+    scale, (i, o), (d_r, d_f) = _ticks((i, o), (p.d_r, p.d_f))
     prev = left_limit(o)
-    wr, wf = window("all", i, p.d_r, "co"), window("all", not_(i), p.d_f, "co")
+    wr, wf = _held(i, d_r), _held(not_(i), d_f)
     enables = and_(not_(prev), wr), and_(prev, wf)
-    init = _leq_clause("init: output not null before rise delay", o, from_changes([(p.d_r, 1)]))
+    init = _leq_clause("init: output not null before rise delay", o, _rise_at(d_r), scale)
     if form != "all":
-        return _report(f"4.3{form}", init + _didb_clauses(form, o, prev, wr, wf, *enables))
+        return _report(
+            f"4.3{form}", init + _didb_clauses(form, scale, o, prev, wr, wf, *enables)
+        )
 
-    clauses = [_didb_clauses(f, o, prev, wr, wf, *enables) for f in "abcd"]
+    clauses = [_didb_clauses(f, scale, o, prev, wr, wf, *enables) for f in "abcd"]
     reports = [_report(f"4.3{f}", init + c) for f, c in zip("abcd", clauses)]
     if len({r.verdict for r in reports}) != 1:
         raise RuntimeError(
@@ -254,6 +322,7 @@ def didb_verify(
 
 def _didb_clauses(
     form: str,
+    scale: int,
     o: StepFn,
     prev: StepFn,
     wr: StepFn,
@@ -261,24 +330,29 @@ def _didb_clauses(
     enable_r: StepFn,
     enable_f: StepFn,
 ) -> list[Violation]:
-    """Violations of one deterministic-buffer form, without the init clause."""
+    """Violations of one deterministic-buffer form, without the init clause,
+    on ticks of 1/scale."""
     if form == "a":
         rise_o, fall_o = semi_derivatives(o)
-        out = _eq_clause("4.3a.rise: o(t-0)'*o(t) = o(t-0)'*held1", rise_o, enable_r)
-        return out + _eq_clause("4.3a.fall: o(t-0)*o(t)' = o(t-0)*held0", fall_o, enable_f)
+        out = _eq_clause("4.3a.rise: o(t-0)'*o(t) = o(t-0)'*held1", rise_o, enable_r, scale)
+        return out + _eq_clause(
+            "4.3a.fall: o(t-0)*o(t)' = o(t-0)*held0", fall_o, enable_f, scale
+        )
     if form == "b":
         return _eq_clause(
             "4.3b: Do = o(t-0)'*held1 + o(t-0)*held0",
             derivative(o),
             or_(enable_r, enable_f),
+            scale,
         )
     if form == "c":
-        out = _leq_clause("4.3c.rise: o(t-0)'*held1 <= o(t)", enable_r, o)
-        out += _leq_clause("4.3c.fall: o(t-0)*held0 <= o(t)'", enable_f, not_(o))
+        out = _leq_clause("4.3c.rise: o(t-0)'*held1 <= o(t)", enable_r, o, scale)
+        out += _leq_clause("4.3c.fall: o(t-0)*held0 <= o(t)'", enable_f, not_(o), scale)
         return out + _leq_clause(
             "4.3c.hold: neither enabled => o holds",
             and_(not_(enable_r), not_(enable_f)),
             or_(and_(not_(prev), not_(o)), and_(prev, o)),
+            scale,
         )
     # form d: the four-way case split is exhaustive
     big = or_(
@@ -288,7 +362,7 @@ def _didb_clauses(
             and_(and_(prev, o), not_(wf)),
         ),
     )
-    return _eq_clause("4.3d: case split covers every t", big, constant(1))
+    return _eq_clause("4.3d: case split covers every t", big, constant(1), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -310,39 +384,44 @@ def nidb_verify(i: StepFn, o: StepFn, p: DelayParams, form: str = "a") -> Report
         raise ParameterError(f"unknown form {form!r}")
     require_signal(i, "input")
     require_signal(o, "output")
+    return _nidb_check(i, o, p, form)
 
+
+def _nidb_check(i: StepFn, o: StepFn, p: DelayParams, form: str) -> Report:
+    """nidb_verify on arguments that are already checked."""
+    scale, (i, o), (r_min, r_max, f_min, f_max) = _ticks(
+        (i, o), (p.d_r_min, p.d_r_max, p.d_f_min, p.d_f_max)
+    )
     prev = left_limit(o)
     not_prev, not_i = not_(prev), not_(i)
-    rise_max = and_(not_prev, window("all", i, p.d_r_max, "co"))
-    rise_min = and_(not_prev, window("all", i, p.d_r_min, "co"))
-    fall_max = and_(prev, window("all", not_i, p.d_f_max, "co"))
-    fall_min = and_(prev, window("all", not_i, p.d_f_min, "co"))
+    rise_max = and_(not_prev, _held(i, r_max))
+    rise_min = and_(not_prev, _held(i, r_min))
+    fall_max = and_(prev, _held(not_i, f_max))
+    fall_min = and_(prev, _held(not_i, f_min))
 
-    violations = _leq_clause(
-        "init: output not null before d_r_min", o, from_changes([(p.d_r_min, 1)])
-    )
+    violations = _leq_clause("init: output not null before d_r_min", o, _rise_at(r_min), scale)
     if form == "a":
         # the semi-derivatives of o, sharing its left limit
         rise_o, fall_o = and_(not_prev, o), and_(prev, not_(o))
         violations += _leq_clause(
-            "4.1a.rise-lower: o(t-0)'*held1(max) <= o(t-0)'*o(t)", rise_max, rise_o
+            "4.1a.rise-lower: o(t-0)'*held1(max) <= o(t-0)'*o(t)", rise_max, rise_o, scale
         )
         violations += _leq_clause(
-            "4.1a.rise-upper: o(t-0)'*o(t) <= o(t-0)'*held1(min)", rise_o, rise_min
+            "4.1a.rise-upper: o(t-0)'*o(t) <= o(t-0)'*held1(min)", rise_o, rise_min, scale
         )
         violations += _leq_clause(
-            "4.1a.fall-lower: o(t-0)*held0(max) <= o(t-0)*o(t)'", fall_max, fall_o
+            "4.1a.fall-lower: o(t-0)*held0(max) <= o(t-0)*o(t)'", fall_max, fall_o, scale
         )
         violations += _leq_clause(
-            "4.1a.fall-upper: o(t-0)*o(t)' <= o(t-0)*held0(min)", fall_o, fall_min
+            "4.1a.fall-upper: o(t-0)*o(t)' <= o(t-0)*held0(min)", fall_o, fall_min, scale
         )
         return _report("4.1a", violations)
     d_o = xor(prev, o)  # the derivative of o
     violations += _leq_clause(
-        "4.1b.lower: max-window enables <= Do", or_(rise_max, fall_max), d_o
+        "4.1b.lower: max-window enables <= Do", or_(rise_max, fall_max), d_o, scale
     )
     violations += _leq_clause(
-        "4.1b.upper: Do <= min-window enables", d_o, or_(rise_min, fall_min)
+        "4.1b.upper: Do <= min-window enables", d_o, or_(rise_min, fall_min), scale
     )
     return _report("4.1b", violations)
 
@@ -423,7 +502,7 @@ def nidb_sample(i: StepFn, p: DelayParams, policy: SamplePolicy) -> StepFn:
     rng = Random(policy.seed) if policy.kind == "random" else None
     bands = {1: (p.d_r_min, p.d_r_max), 0: (p.d_f_min, p.d_f_max)}
     out = _run_walk(i, lambda value: _draw_delay(policy, rng, *bands[value]))
-    report = nidb_verify(i, out, p, "a")
+    report = _nidb_check(i, out, p, "a")
     if not report.passed:  # sampler bug, not a property of the input
         raise RuntimeError(f"sampled output failed conformance: {report}")
     return out

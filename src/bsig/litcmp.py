@@ -25,23 +25,26 @@ from .buffer import (
     Violation,
     _leq_clause,
     _report,
+    _rise_at,
+    _ticks,
+    _unscaled,
     didb_verify,
     nidb_sample,
     nidb_verify,
 )
 from .stepfn import (
     Interval,
-    IntervalSet,
     ParameterError,
     StepFn,
+    _from_ones,
+    _minkowski,
+    _union,
     and_,
-    any_over_offsets,
     as_time,
     constant,
     derivative,
     difference_set,
     from_changes,
-    indicator,
     left_limit,
     not_,
     or_,
@@ -72,25 +75,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _anchored_response(i: StepFn, d_min: Fraction, d_max: Fraction, rise: bool) -> StepFn:
+def _anchored_response(i: StepFn, d_min, d_max, rise: bool) -> StepFn:
     """1 at t iff some t' in [t-d_max, t-d_min] starts a held run of i.
 
     The quantified condition asks for an anchor t' where i arrives at the
     run's value and holds it through [t', t); inside a constant run only the
     run's first instant can anchor, so t qualifies iff it lies within
     [s + d_min, s + d_max] for a run [s, e) and the run covers [s, t), i.e.
-    t <= e. That collapses the quantifier to one closed interval per run.
+    t <= e. That collapses the quantifier to one closed interval per run,
+    and the intervals come sorted by start.
     """
     target = 1 if rise else 0
-    pieces = []
+    runs = []
     for s, e, value in right_continuous_runs(i):
         if value != target or s is None:
             continue
         lo = s + d_min
         hi = s + d_max if e is None else min(s + d_max, e)
         if lo <= hi:
-            pieces.append(Interval(lo, True, hi, True))
-    return indicator(IntervalSet(tuple(pieces)))
+            runs.append(((1, lo, 0), (1, hi, 0)))
+    return _from_ones(_union(runs))
 
 
 def _future_window_clause(
@@ -100,13 +104,15 @@ def _future_window_clause(
     rhs: StepFn,
     d_min: Fraction,
     d_max: Fraction,
+    scale: int,
 ) -> list[Violation]:
     """Violations of lhs <= rhs where rhs searches the future window after
     each lhs edge; the searched window (t, t+d_max] is reported as the
-    witness and the edge instant t appears in the clause text."""
+    witness and the edge instant t appears in the clause text. lhs and rhs
+    run on ticks of 1/scale; the delays are times."""
     out = []
     for iv in violation_set(lhs, rhs):
-        t = pick_point(iv)
+        t = pick_point(_unscaled(iv, scale))
         out.append(
             Violation(
                 Interval(t, False, t + d_max, True),
@@ -136,11 +142,14 @@ def lit_verify(i: StepFn, o: StepFn, p: DelayParams, cond: str) -> Report:
         raise ParameterError(f"unknown condition {cond!r}")
     require_signal(i, "input")
     require_signal(o, "output")
+    scale, (i, o), (r_min, r_max, f_min, f_max) = _ticks(
+        (i, o), (p.d_r_min, p.d_r_max, p.d_f_min, p.d_f_max)
+    )
 
     if cond == "a":
         return _report(
             "5.1a",
-            _leq_clause("5.1a: output not null before d_r_min", o, from_changes([(p.d_r_min, 1)])),
+            _leq_clause("5.1a: output not null before d_r_min", o, _rise_at(r_min), scale),
         )
     rise_i, fall_i = semi_derivatives(i)
     rise_o, fall_o = semi_derivatives(o)
@@ -148,27 +157,29 @@ def lit_verify(i: StepFn, o: StepFn, p: DelayParams, cond: str) -> Report:
         violations = _leq_clause(
             "5.1b.rise: output rise not anchored to a held-1 run start",
             rise_o,
-            _anchored_response(i, p.d_r_min, p.d_r_max, rise=True),
+            _anchored_response(i, r_min, r_max, rise=True),
+            scale,
         )
         violations += _leq_clause(
             "5.1b.fall: output fall not anchored to a held-0 run start",
             fall_o,
-            _anchored_response(i, p.d_f_min, p.d_f_max, rise=False),
+            _anchored_response(i, f_min, f_max, rise=False),
+            scale,
         )
         return _report("5.1b", violations)
     rhs_rise = or_(
-        any_over_offsets(fall_i, 0, p.d_r_max, False, False),
-        any_over_offsets(rise_o, p.d_r_min, p.d_r_max, True, True),
+        _minkowski(fall_i, 0, r_max, False, False),
+        _minkowski(rise_o, r_min, r_max, True, True),
     )
     rhs_fall = or_(
-        any_over_offsets(rise_i, 0, p.d_f_max, False, False),
-        any_over_offsets(fall_o, p.d_f_min, p.d_f_max, True, True),
+        _minkowski(rise_i, 0, f_max, False, False),
+        _minkowski(fall_o, f_min, f_max, True, True),
     )
     violations = _future_window_clause(
-        "5.1c.rise", "input rise", rise_i, rhs_rise, p.d_r_min, p.d_r_max
+        "5.1c.rise", "input rise", rise_i, rhs_rise, p.d_r_min, p.d_r_max, scale
     )
     violations += _future_window_clause(
-        "5.1c.fall", "input fall", fall_i, rhs_fall, p.d_f_min, p.d_f_max
+        "5.1c.fall", "input fall", fall_i, rhs_fall, p.d_f_min, p.d_f_max, scale
     )
     return _report("5.1c", violations)
 
@@ -218,18 +229,24 @@ def counterexample(cid: str, p: Optional[DelayParams] = None) -> Fixture:
     raise ParameterError(f"unknown counterexample id {cid!r}")
 
 
+# the checker behind each condition id a fixture's expected map may name
+_CHECKERS = {
+    **{f"4.1{f}": lambda fx, f=f: nidb_verify(fx.i, fx.o, fx.p, f) for f in "ab"},
+    **{
+        f"4.3{f}": lambda fx, f=f: didb_verify(fx.i, fx.o, fx.p.det(), f)
+        for f in ("a", "b", "c", "d", "all")
+    },
+    **{f"5.1{c}": lambda fx, c=c: lit_verify(fx.i, fx.o, fx.p, c) for c in "abc"},
+}
+
+
 def check_fixture(fx: Fixture) -> dict[str, Report]:
     """Run every checker named in the fixture's expected map."""
     out: dict[str, Report] = {}
     for key in sorted(fx.expected):
-        if key in ("4.1a", "4.1b"):
-            out[key] = nidb_verify(fx.i, fx.o, fx.p, key[-1])
-        elif key.startswith("4.3"):
-            out[key] = didb_verify(fx.i, fx.o, fx.p.det(), key[3:])
-        elif key in ("5.1a", "5.1b", "5.1c"):
-            out[key] = lit_verify(fx.i, fx.o, fx.p, key[-1])
-        else:
+        if key not in _CHECKERS:
             raise ParameterError(f"no checker for condition {key!r}")
+        out[key] = _CHECKERS[key](fx)
     return out
 
 

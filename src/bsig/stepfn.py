@@ -241,6 +241,17 @@ class StepFn:
                 raise ConstructionError(f"removable breakpoint at {t}: representation not canonical")
             prev_t, prev_w = t, w
 
+    @classmethod
+    def _of(cls, before, times, point_values, interval_values) -> StepFn:
+        """A StepFn from fields that are already valid and canonical, without
+        the checks: the kernel's constructor. Times may be any one ordered
+        exact number type, Fraction or int ticks."""
+        f = object.__new__(cls)
+        f.__dict__.update(
+            before=before, times=times, point_values=point_values, interval_values=interval_values
+        )
+        return f
+
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, t: TimeLike) -> int:
@@ -273,8 +284,8 @@ def canonical(before, pieces: Iterable[tuple]) -> StepFn:
     triples with strictly increasing times. Removable breakpoints are elided.
 
     This is the entry point for outside input: times and bits are coerced
-    and checked here. Kernel ops build StepFn directly from fields that are
-    already valid.
+    and checked here, once. Kernel ops build through StepFn._of from fields
+    that are already valid.
     """
     before = _bit(before)
     times: list[Fraction] = []
@@ -293,7 +304,7 @@ def canonical(before, pieces: Iterable[tuple]) -> StepFn:
         pvals.append(v)
         ivals.append(w)
         prev_w = w
-    return StepFn(before, tuple(times), tuple(pvals), tuple(ivals))
+    return StepFn._of(before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def constant(bit) -> StepFn:
@@ -363,12 +374,12 @@ def _merge(table: tuple, f: StepFn, g: StepFn) -> StepFn:
         pvals.append(v)
         ivals.append(w)
         prev_w = w
-    return StepFn(before, tuple(times), tuple(pvals), tuple(ivals))
+    return StepFn._of(before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def not_(f: StepFn) -> StepFn:
     # negation keeps every breakpoint essential, so f's times carry over
-    return StepFn(
+    return StepFn._of(
         1 - f.before,
         f.times,
         tuple(1 - v for v in f.point_values),
@@ -391,7 +402,7 @@ def xor(f: StepFn, g: StepFn) -> StepFn:
 def shift(f: StepFn, delta: TimeLike) -> StepFn:
     """Translate in time: result(t) = f(t - delta)."""
     delta = as_time(delta)
-    return StepFn(
+    return StepFn._of(
         f.before,
         tuple(t + delta for t in f.times),
         f.point_values,
@@ -418,7 +429,7 @@ def left_limit(f: StepFn) -> StepFn:
             pvals.append(prev_w)
             ivals.append(w)
             prev_w = w
-    return StepFn(f.before, tuple(times), tuple(pvals), tuple(ivals))
+    return StepFn._of(f.before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def derivative(f: StepFn) -> StepFn:
@@ -516,7 +527,7 @@ def _from_ones(runs) -> StepFn:
                 times.append(t)
                 pvals.append(1 if eps == 0 else 0)
                 ivals.append(0)
-    return StepFn(before, tuple(times), tuple(pvals), tuple(ivals))
+    return StepFn._of(before, tuple(times), tuple(pvals), tuple(ivals))
 
 
 def one_set(f: StepFn) -> IntervalSet:
@@ -549,17 +560,25 @@ def window(mode: str, f: StepFn, d: TimeLike, kind: str = "co") -> StepFn:
         raise ParameterError(f"window width must be positive, got {d}")
     if kind not in _WINDOW_SHAPES:
         raise ParameterError(f"unknown window kind {kind!r}")
-    if mode == "all":
-        return not_(window("any", not_(f), d, kind))
-    if mode != "any":
+    if mode not in ("all", "any"):
         raise ParameterError(f"unknown window mode {mode!r}")
-    return any_over_offsets(f, -d, 0, *_WINDOW_SHAPES[kind])
+    lo_closed, hi_closed = _WINDOW_SHAPES[kind]
+    if mode == "all":
+        return not_(_minkowski(not_(f), -d, 0, lo_closed, hi_closed))
+    return _minkowski(f, -d, 0, lo_closed, hi_closed)
 
 
 def any_over_offsets(
     f: StepFn, lo: TimeLike, hi: TimeLike, lo_closed: bool = True, hi_closed: bool = True
 ) -> StepFn:
-    """g(t) = 1 iff f(t + delta) = 1 for some delta in the offset interval.
+    """g(t) = 1 iff f(t + delta) = 1 for some delta in the offset interval."""
+    lo, hi = as_time(lo), as_time(hi)
+    Interval(-hi, hi_closed, -lo, lo_closed)  # the offsets must form an interval
+    return _minkowski(f, lo, hi, lo_closed, hi_closed)
+
+
+def _minkowski(f: StepFn, lo, hi, lo_closed: bool, hi_closed: bool) -> StepFn:
+    """any_over_offsets on times that are already valid, lo <= hi.
 
     Looking ahead by delta in <lo, hi> means t sees the 1-run I exactly when
     t lies in I shifted back by the offsets, so the result's 1-set is the
@@ -568,10 +587,8 @@ def any_over_offsets(
     takes the larger eps and the end the smaller. Adding one interval keeps
     the runs sorted by start.
     """
-    lo, hi = as_time(lo), as_time(hi)
-    offsets = Interval(-hi, hi_closed, -lo, lo_closed)
-    _, a, a_eps = offsets._start_slot()
-    _, b, b_eps = offsets._end_slot()
+    a, a_eps = -hi, 0 if hi_closed else 1
+    b, b_eps = -lo, 0 if lo_closed else -1
     sums = [
         (
             s if s == _MINUS_INF else (1, s[1] + a, max(s[2], a_eps)),

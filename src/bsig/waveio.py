@@ -14,13 +14,15 @@ from math import lcm
 from typing import Optional, Union
 
 from .buffer import DelayParams, Report, Violation
-from .litcmp import Fixture, FuzzConfig, FuzzReport, Refutation
+from .litcmp import _CHECKERS, Fixture, FuzzConfig, FuzzReport, Refutation
 from .stepfn import (
+    _MAX_DIGITS,
+    _TOO_MANY_DIGITS,
+    ConstructionError,
     Interval,
     ParameterError,
     StepFn,
     as_time,
-    from_changes,
     parse_interval,
     require_signal,
 )
@@ -56,7 +58,8 @@ def parse_bsig(text: str) -> StepFn:
     switches the value to bit from time on. Comment lines start with `#`;
     a `# bsig N` line must name version 1.
     """
-    changes: list[tuple[Fraction, int]] = []
+    times: list[Fraction] = []
+    bits: list[int] = []
     prev: Optional[Fraction] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -80,9 +83,15 @@ def parse_bsig(text: str) -> StepFn:
             raise ParseError(lineno, f"negative time {t}")
         if prev is not None and t <= prev:
             raise ParseError(lineno, f"times not strictly increasing at {t}")
-        changes.append((t, int(parts[1])))
         prev = t
-    return from_changes(changes)
+        bit = int(parts[1])
+        if bit != (bits[-1] if bits else 0):  # else the entry is redundant
+            times.append(t)
+            bits.append(bit)
+    # every line is checked and every kept entry switches the value: the
+    # fields are canonical
+    values = tuple(bits)
+    return StepFn._of(0, tuple(times), values, values)
 
 
 def write_bsig(x: StepFn, name: Optional[str] = None) -> str:
@@ -115,6 +124,12 @@ def _vcd_id(k: int) -> str:
     return code
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of n > 0, without printing it."""
+    d = int(n.bit_length() * 0.30102999566398120)  # floor(log10 n) or one more
+    return d + 1 if n >= 10**d else d
+
+
 def export_vcd(named: list[tuple[str, StepFn]]) -> str:
     """Value-change-dump text for external waveform viewers.
 
@@ -136,6 +151,12 @@ def export_vcd(named: list[tuple[str, StepFn]]) -> str:
     scale = lcm(*denoms) if denoms else 1
     all_ticks = [int(t * scale) for _, f in named for t in f.times]
     offset = -min(all_ticks) if all_ticks and min(all_ticks) < 0 else 0
+    # the last revert sits one tick past the largest tick
+    if max(scale, max(all_ticks, default=0) + offset + 1) >= _TOO_MANY_DIGITS:
+        raise ParameterError(
+            f"VCD tick scale has {_digit_count(scale)} digits: a tick would exceed "
+            f"{_MAX_DIGITS} digits"
+        )
 
     ids = {n: _vcd_id(k) for k, (n, _) in enumerate(named)}
     changes: dict[int, dict[str, int]] = {}
@@ -218,6 +239,16 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
+def _parsed(parse, doc, key: str, where: str):
+    """parse(doc[key]) for a string field; text that does not parse raises
+    ParameterError naming the field."""
+    text = _field(doc, key, str, where)
+    try:
+        return parse(text)
+    except ConstructionError as exc:
+        raise ParameterError(f"{where}: field {key!r}: {exc}") from exc
+
+
 def _bit_field(doc, key: str, where: str) -> int:
     """doc[key] checked to be the JSON integer 0 or 1."""
     value = _field(doc, key, int, where)
@@ -228,19 +259,25 @@ def _bit_field(doc, key: str, where: str) -> int:
 
 def _report_from_doc(doc: dict) -> Report:
     condition = _field(doc, "condition", str, "report")
-    verdict = _field(doc, "verdict", str, "report")
+    verdict = _field(doc, "verdict", str, "report").upper()
+    if verdict not in ("PASS", "FAIL"):
+        raise ParameterError(f"report: field 'verdict' must be pass or fail, got {doc['verdict']!r}")
     violations = []
     for k, v in enumerate(_field(doc, "violations", list, "report")):
         where = f"report violations[{k}]"
         violations.append(
             Violation(
-                _witness_parse(_field(v, "witness", str, where)),
+                _parsed(_witness_parse, v, "witness", where),
                 _bit_field(v, "lhs", where),
                 _bit_field(v, "rhs", where),
                 _field(v, "clause", str, where),
             )
         )
-    return Report(condition, verdict.upper(), tuple(violations))
+    if (verdict == "FAIL") != bool(violations):
+        raise ParameterError(
+            f"report: field 'verdict' is {doc['verdict']!r} with {len(violations)} violations"
+        )
+    return Report(condition, verdict, tuple(violations))
 
 
 def write_report(r) -> str:
@@ -323,11 +360,11 @@ def _fuzz_from_doc(doc: dict):
     config = FuzzConfig(
         trials=_field(c, "trials", int, "fuzz config"),
         seed=_field(c, "seed", int, "fuzz config"),
-        horizon=as_time(_field(c, "horizon", str, "fuzz config")),
+        horizon=_parsed(as_time, c, "horizon", "fuzz config"),
         max_switches=_field(c, "max_switches", int, "fuzz config"),
         granularity=_field(c, "granularity", int, "fuzz config"),
         delay_granularity=_field(c, "delay_granularity", int, "fuzz config"),
-        max_delay=as_time(_field(c, "max_delay", str, "fuzz config")),
+        max_delay=_parsed(as_time, c, "max_delay", "fuzz config"),
     )
     refutations = []
     for k, ref in enumerate(_field(doc, "refutations", list, "fuzz report")):
@@ -335,6 +372,20 @@ def _fuzz_from_doc(doc: dict):
         delays = _field(ref, "p", list, where)
         if len(delays) != 4:
             raise ParameterError(f"{where}: field 'p' must list 4 delays, got {len(delays)}")
+        entries = {f"p[{j}]": x for j, x in enumerate(delays)}
+        delays = [_parsed(as_time, entries, key, where) for key in entries]
+        try:
+            p = DelayParams(*delays)
+        except ParameterError as exc:
+            raise ParameterError(f"{where}: field 'p': {exc}") from exc
+        expected = _field(ref, "expected", dict, where)
+        for cid, want in expected.items():
+            if cid not in _CHECKERS:
+                raise ParameterError(f"{where}: field 'expected' names unknown condition {cid!r}")
+            if want not in ("PASS", "FAIL"):
+                raise ParameterError(
+                    f"{where}: field 'expected' maps {cid!r} to {json.dumps(want)}, not PASS or FAIL"
+                )
         refutations.append(
             Refutation(
                 _field(ref, "claim", str, where),
@@ -342,8 +393,8 @@ def _fuzz_from_doc(doc: dict):
                     _field(ref, "name", str, where),
                     parse_bsig(_field(ref, "i", str, where)),
                     parse_bsig(_field(ref, "o", str, where)),
-                    DelayParams(*[as_time(x) for x in delays]),
-                    dict(_field(ref, "expected", dict, where)),
+                    p,
+                    dict(expected),
                 ),
                 _field(ref, "detail", str, where),
             )

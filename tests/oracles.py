@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from bsig import (
     AutomatonState,
+    Interval,
     IntervalSet,
     Report,
     StepFn,
@@ -17,14 +18,22 @@ from bsig import (
     Violation,
     canonical,
     and_,
+    any_over_offsets,
     constant,
+    derivative,
+    difference_set,
     from_changes,
+    indicator,
+    left_limit,
     not_,
     one_set,
+    or_,
+    pick_point,
     require_signal,
     right_continuous_runs,
     semi_derivatives,
     switch_points,
+    violation_set,
     window,
     xor,
 )
@@ -459,3 +468,154 @@ def window_pieces(mode: str, f: StepFn, d: Fraction, kind: str) -> StepFn:
         for s, e in ones_pieces(f)
     ]
     return _from_ones(_union(sums))
+
+
+# ---------------------------------------------------------------------------
+# The conformance checkers on Fraction times
+#
+# didb_verify, nidb_verify and lit_verify as they were before the checkers
+# moved to integer ticks, built from the public kernel ops. Same arguments,
+# same reports, for valid arguments.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_report(condition, violations):
+    return Report(condition, "FAIL" if violations else "PASS", tuple(violations))
+
+
+def _fraction_leq(clause, lhs, rhs):
+    return [Violation(pick_point(iv), 1, 0, clause) for iv in violation_set(lhs, rhs)]
+
+
+def _fraction_eq(clause, lhs, rhs):
+    out = []
+    for iv in difference_set(lhs, rhs):
+        w = pick_point(iv)
+        out.append(Violation(w, lhs.eval(w), rhs.eval(w), clause))
+    return out
+
+
+def didb_verify_fractions(i: StepFn, o: StepFn, p, form: str = "all") -> Report:
+    require_signal(i, "input")
+    require_signal(o, "output")
+    prev = left_limit(o)
+    wr, wf = window("all", i, p.d_r, "co"), window("all", not_(i), p.d_f, "co")
+    enables = and_(not_(prev), wr), and_(prev, wf)
+    init = _fraction_leq("init: output not null before rise delay", o, from_changes([(p.d_r, 1)]))
+    if form != "all":
+        return _fraction_report(f"4.3{form}", init + _didb_clauses_fractions(form, o, prev, wr, wf, *enables))
+    clauses = [_didb_clauses_fractions(f, o, prev, wr, wf, *enables) for f in "abcd"]
+    reports = [_fraction_report(f"4.3{f}", init + c) for f, c in zip("abcd", clauses)]
+    assert len({r.verdict for r in reports}) == 1
+    return _fraction_report("4.3all", init[:1] + [v for c in clauses for v in c])
+
+
+def _didb_clauses_fractions(form, o, prev, wr, wf, enable_r, enable_f):
+    if form == "a":
+        rise_o, fall_o = semi_derivatives(o)
+        out = _fraction_eq("4.3a.rise: o(t-0)'*o(t) = o(t-0)'*held1", rise_o, enable_r)
+        return out + _fraction_eq("4.3a.fall: o(t-0)*o(t)' = o(t-0)*held0", fall_o, enable_f)
+    if form == "b":
+        return _fraction_eq(
+            "4.3b: Do = o(t-0)'*held1 + o(t-0)*held0", derivative(o), or_(enable_r, enable_f)
+        )
+    if form == "c":
+        out = _fraction_leq("4.3c.rise: o(t-0)'*held1 <= o(t)", enable_r, o)
+        out += _fraction_leq("4.3c.fall: o(t-0)*held0 <= o(t)'", enable_f, not_(o))
+        return out + _fraction_leq(
+            "4.3c.hold: neither enabled => o holds",
+            and_(not_(enable_r), not_(enable_f)),
+            or_(and_(not_(prev), not_(o)), and_(prev, o)),
+        )
+    big = or_(
+        or_(and_(and_(not_(prev), o), wr), and_(and_(prev, not_(o)), wf)),
+        or_(and_(and_(not_(prev), not_(o)), not_(wr)), and_(and_(prev, o), not_(wf))),
+    )
+    return _fraction_eq("4.3d: case split covers every t", big, constant(1))
+
+
+def nidb_verify_fractions(i: StepFn, o: StepFn, p, form: str = "a") -> Report:
+    require_signal(i, "input")
+    require_signal(o, "output")
+    prev = left_limit(o)
+    not_prev, not_i = not_(prev), not_(i)
+    rise_max = and_(not_prev, window("all", i, p.d_r_max, "co"))
+    rise_min = and_(not_prev, window("all", i, p.d_r_min, "co"))
+    fall_max = and_(prev, window("all", not_i, p.d_f_max, "co"))
+    fall_min = and_(prev, window("all", not_i, p.d_f_min, "co"))
+    violations = _fraction_leq("init: output not null before d_r_min", o, from_changes([(p.d_r_min, 1)]))
+    if form == "a":
+        rise_o, fall_o = and_(not_prev, o), and_(prev, not_(o))
+        violations += _fraction_leq("4.1a.rise-lower: o(t-0)'*held1(max) <= o(t-0)'*o(t)", rise_max, rise_o)
+        violations += _fraction_leq("4.1a.rise-upper: o(t-0)'*o(t) <= o(t-0)'*held1(min)", rise_o, rise_min)
+        violations += _fraction_leq("4.1a.fall-lower: o(t-0)*held0(max) <= o(t-0)*o(t)'", fall_max, fall_o)
+        violations += _fraction_leq("4.1a.fall-upper: o(t-0)*o(t)' <= o(t-0)*held0(min)", fall_o, fall_min)
+        return _fraction_report("4.1a", violations)
+    d_o = xor(prev, o)
+    violations += _fraction_leq("4.1b.lower: max-window enables <= Do", or_(rise_max, fall_max), d_o)
+    violations += _fraction_leq("4.1b.upper: Do <= min-window enables", d_o, or_(rise_min, fall_min))
+    return _fraction_report("4.1b", violations)
+
+
+def _anchored_response_fractions(i, d_min, d_max, rise):
+    target = 1 if rise else 0
+    pieces = []
+    for s, e, value in right_continuous_runs(i):
+        if value != target or s is None:
+            continue
+        lo = s + d_min
+        hi = s + d_max if e is None else min(s + d_max, e)
+        if lo <= hi:
+            pieces.append(Interval(lo, True, hi, True))
+    return indicator(IntervalSet(tuple(pieces)))
+
+
+def _future_window_fractions(clause, edge_name, lhs, rhs, d_min, d_max):
+    out = []
+    for iv in violation_set(lhs, rhs):
+        t = pick_point(iv)
+        out.append(
+            Violation(
+                Interval(t, False, t + d_max, True),
+                1,
+                0,
+                f"{clause}: {edge_name} at {t} unanswered in ({t}, {t + d_max}) "
+                f"or [{t + d_min}, {t + d_max}]",
+            )
+        )
+    return out
+
+
+def lit_verify_fractions(i: StepFn, o: StepFn, p, cond: str) -> Report:
+    require_signal(i, "input")
+    require_signal(o, "output")
+    if cond == "a":
+        return _fraction_report(
+            "5.1a",
+            _fraction_leq("5.1a: output not null before d_r_min", o, from_changes([(p.d_r_min, 1)])),
+        )
+    rise_i, fall_i = semi_derivatives(i)
+    rise_o, fall_o = semi_derivatives(o)
+    if cond == "b":
+        violations = _fraction_leq(
+            "5.1b.rise: output rise not anchored to a held-1 run start",
+            rise_o,
+            _anchored_response_fractions(i, p.d_r_min, p.d_r_max, rise=True),
+        )
+        violations += _fraction_leq(
+            "5.1b.fall: output fall not anchored to a held-0 run start",
+            fall_o,
+            _anchored_response_fractions(i, p.d_f_min, p.d_f_max, rise=False),
+        )
+        return _fraction_report("5.1b", violations)
+    rhs_rise = or_(
+        any_over_offsets(fall_i, 0, p.d_r_max, False, False),
+        any_over_offsets(rise_o, p.d_r_min, p.d_r_max, True, True),
+    )
+    rhs_fall = or_(
+        any_over_offsets(rise_i, 0, p.d_f_max, False, False),
+        any_over_offsets(fall_o, p.d_f_min, p.d_f_max, True, True),
+    )
+    violations = _future_window_fractions("5.1c.rise", "input rise", rise_i, rhs_rise, p.d_r_min, p.d_r_max)
+    violations += _future_window_fractions("5.1c.fall", "input fall", fall_i, rhs_fall, p.d_f_min, p.d_f_max)
+    return _fraction_report("5.1c", violations)

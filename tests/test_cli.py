@@ -6,6 +6,7 @@ from bsig import (
     FuzzConfig,
     constant,
     export_vcd,
+    from_changes,
     fuzz_claims,
     parse_bsig,
     parse_report,
@@ -189,3 +190,14 @@ def test_huge_exponent_literal_fails_fast(tmp_path, capsys):
     assert main(["derive", "--kind", "D", "--in", str(bad)]) == 2
     assert time.perf_counter() - start < 0.5
     assert "exponent" in capsys.readouterr().err
+
+
+def test_export_vcd_refuses_ticks_past_the_digit_limit(tmp_path, capsys):
+    # five Mersenne-prime denominators make an lcm of about 11900 digits
+    times = [k + Fraction(1, 2**e - 1) for k, e in enumerate((4253, 4423, 9689, 9941, 11213))]
+    x = _put(tmp_path, "x.bsig", from_changes((t, 1 - k % 2) for k, t in enumerate(times)))
+    start = time.perf_counter()
+    assert main(["export-vcd", "--in", x]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "VCD tick scale has 11897 digits: a tick would exceed 4300 digits" in err

@@ -261,6 +261,17 @@ def test_parse_report_rejects_unknown_kind():
           "violations": [{"witness": "1", "lhs": 7, "rhs": 0, "clause": "c"}]}, "'lhs'"),
         ({"kind": "report", "condition": "4.1a", "verdict": "fail",
           "violations": [{"witness": "1", "lhs": 1, "rhs": True, "clause": "c"}]}, "'rhs'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "X", "violations": []},
+         "'verdict' must be pass or fail, got 'X'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "pass",
+          "violations": [{"witness": "1", "lhs": 1, "rhs": 0, "clause": "c"}]}, "'verdict' is 'pass' with 1"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail",
+          "violations": [{"witness": "x", "lhs": 1, "rhs": 0, "clause": "c"}]},
+         "violations\\[0\\]: field 'witness': bad time literal 'x'"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail",
+          "violations": [{"witness": "(1, 0]", "lhs": 1, "rhs": 0, "clause": "c"}]}, "'witness': empty interval"),
+        ({"kind": "report", "condition": "4.1a", "verdict": "fail",
+          "violations": [{"witness": "1e99999", "lhs": 1, "rhs": 0, "clause": "c"}]}, "'witness': .*exponent"),
     ],
 )
 def test_parse_report_names_malformed_field(doc, field):
@@ -282,9 +293,31 @@ def test_parse_fuzz_report_names_malformed_field():
         with pytest.raises(ParameterError, match=field):
             parse_report(json.dumps(doc))
     doc = json.loads(text)
+    doc["config"]["horizon"] = "x"
+    with pytest.raises(ParameterError, match="'horizon': bad time literal 'x'"):
+        parse_report(json.dumps(doc))
+    doc = json.loads(text)
     doc["refutations"] = [{"claim": "c", "name": "n", "i": "0 1\n", "o": "1 1\n", "p": ["1", "2", "1"]}]
     with pytest.raises(ParameterError, match="'p'"):
         parse_report(json.dumps(doc))
+    # the delays are time strings, and a refutation expects a verdict from a
+    # checker that check_fixture runs
+    ref = {"claim": "c", "name": "n", "i": "0 1\n", "o": "1 1\n", "p": ["1", "2", "1", "2"],
+           "expected": {"4.1a": "PASS"}, "detail": "d"}
+    for edit, field in (
+        (lambda r: r.update(p=[True, "2", "1", "2"]), "'p\\[0\\]' must be str, got bool"),
+        (lambda r: r.update(p=["1", "2", "1", "y"]), "'p\\[3\\]': bad time literal 'y'"),
+        (lambda r: r.update(p=["2", "1", "1", "2"]), "'p': need 0 < d_r_min <= d_r_max"),
+        (lambda r: r.update(expected={"4.1a": 7}), "'expected' maps '4.1a' to 7, not PASS or FAIL"),
+        (lambda r: r.update(expected={"bogus": "PASS"}), "'expected' names unknown condition 'bogus'"),
+    ):
+        doc["refutations"] = [dict(ref)]
+        edit(doc["refutations"][0])
+        with pytest.raises(ParameterError, match=field):
+            parse_report(json.dumps(doc))
+    doc["refutations"] = [dict(ref)]
+    fixture = parse_report(json.dumps(doc)).refutations[0].fixture
+    assert fixture.expected == {"4.1a": "PASS"} and fixture.p == DelayParams(1, 2, 1, 2)
     del doc["config"]["seed"]
     with pytest.raises(ParameterError, match="'seed'"):
         parse_report(json.dumps(doc))
